@@ -43,6 +43,19 @@ cargo test -q --workspace --offline
 echo "==> crash-point explorer"
 cargo test -q -p wave-index --test crash_recovery --offline
 
+# The incremental-commit gates, named for the same reason: after every
+# commit of every scheme x technique x ingest on/off, the store must
+# equal a from-scratch commit of the same wave (this is what catches a
+# mutator that forgot to drop its constituent's durable marker), and a
+# swapped or stale file of the right name, length and label must fail
+# the manifest's per-file checksum in `load_committed` and `fsck`.
+echo "==> incremental commit == from-scratch commit"
+cargo test -q -p wave-index --test incremental_commit --offline \
+  incremental_commit_equals_from_scratch_commit
+echo "==> swapped and stale files fail the manifest checksum"
+cargo test -q -p wave-index --test incremental_commit --offline \
+  swapped_or_stale_files_fail_the_manifest_checksum
+
 # The parallel-engine gates, also named explicitly: readers racing
 # epoch-committing maintenance must always see a committed epoch, and
 # the measured multi-arm speedups must track the analytic predictions

@@ -602,8 +602,11 @@ fn cmd_add(dir: &Path, args: &[String]) -> Result<String, CliError> {
             let mut store = FileStore::open(index_dir(dir))?;
             let report = commit_wave(scheme.wave(), &mut vol, &mut store, &RetryPolicy::default())?;
             out.push_str(&format!(
-                "committed epoch {} ({} files, {} bytes)\n",
-                report.epoch, report.files_written, report.bytes_written
+                "committed epoch {} (wrote {} of {} constituents, {} bytes)\n",
+                report.epoch,
+                report.files_written,
+                report.files_written + report.files_reused,
+                report.bytes_written
             ));
         }
         None => {
@@ -721,9 +724,10 @@ fn cmd_status(dir: &Path) -> Result<String, CliError> {
         let mut store = FileStore::open(index_dir(dir))?;
         match read_manifest(&mut store) {
             Ok(Some(m)) => out.push_str(&format!(
-                "committed index: epoch {} ({} files)\n",
+                "committed index: epoch {} ({} files, {} carried over from earlier epochs)\n",
                 m.epoch,
-                m.entries.len()
+                m.entries.len(),
+                m.images_carried()
             )),
             Ok(None) => out.push_str("committed index: none\n"),
             Err(_) => out.push_str("committed index: MANIFEST corrupt — run `wavectl recover`\n"),
@@ -2158,10 +2162,18 @@ mod tests {
         let out = add_day(&dir, "3 world again\n");
         assert!(out.contains("committed epoch 1"), "{out}");
         let out = add_day(&dir, "4 fresh words\n");
-        assert!(out.contains("committed epoch 2"), "{out}");
+        // `add` replays the day files into a fresh wave, which carries
+        // no durable markers: every constituent is written.
+        assert!(
+            out.contains("committed epoch 2 (wrote 2 of 2 constituents"),
+            "{out}"
+        );
 
         let out = run(&s(&["status", d])).unwrap();
-        assert!(out.contains("committed index: epoch 2"), "{out}");
+        assert!(
+            out.contains("committed index: epoch 2 (2 files, 0 carried over"),
+            "{out}"
+        );
         let out = run(&s(&["fsck", d])).unwrap();
         assert!(out.contains("store is clean"), "{out}");
 

@@ -37,7 +37,7 @@
 //! line (here: single-`u64`) probes.
 
 use wave_obs::SplitMix64;
-use wave_storage::{crc64, Crc64};
+use wave_storage::{crc64, split_trailer, Crc64};
 
 use crate::error::{IndexError, IndexResult};
 use crate::record::SearchValue;
@@ -241,14 +241,20 @@ impl MembershipFilter {
     /// them as "rebuild the sidecar from the constituent".
     pub fn from_bytes(bytes: &[u8]) -> IndexResult<Self> {
         let corrupt = |what: &str| IndexError::Corrupt(format!("filter sidecar: {what}"));
-        let header = 4 + 2 + 8 + 8 + 8 + 4;
-        if bytes.len() < header + 8 {
-            return Err(corrupt("truncated"));
-        }
-        let (body, trailer) = bytes.split_at(bytes.len() - 8);
-        let stored = u64::from_le_bytes(trailer.try_into().expect("8-byte trailer"));
+        let (body, stored) = split_trailer(bytes).ok_or_else(|| corrupt("truncated"))?;
         if crc64(body) != stored {
             return Err(corrupt("checksum mismatch"));
+        }
+        Self::from_body(body)
+    }
+
+    /// Decodes the body of a `WVFL` sidecar (everything before the
+    /// trailer) whose checksum the caller has already verified.
+    pub(crate) fn from_body(body: &[u8]) -> IndexResult<Self> {
+        let corrupt = |what: &str| IndexError::Corrupt(format!("filter sidecar: {what}"));
+        let header = 4 + 2 + 8 + 8 + 8 + 4;
+        if body.len() < header {
+            return Err(corrupt("truncated"));
         }
         if &body[0..4] != MAGIC {
             return Err(corrupt("bad magic"));

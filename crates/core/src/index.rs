@@ -16,6 +16,7 @@
 //! untouched values stay put.
 
 use std::collections::{BTreeMap, BTreeSet};
+use std::sync::OnceLock;
 
 use wave_storage::{Extent, IoScheduler, ReadRequest, Volume, WriteBuffer};
 
@@ -25,6 +26,7 @@ use crate::entry::{decode_entries, encode_entries, Entry, ENTRY_BYTES};
 use crate::error::{IndexError, IndexResult};
 use crate::filter::{FilterConfig, MembershipFilter};
 use crate::ingest::{IngestBuffer, IngestConfig};
+use crate::persist::DurableFiles;
 use crate::query::TimeRange;
 use crate::record::{Day, DayBatch, SearchValue};
 
@@ -121,6 +123,12 @@ pub struct ConstituentIndex {
     /// not yet reached the directory/buckets. Always present; empty
     /// (and untouched) when `cfg.ingest.enabled` is off.
     ingest: IngestBuffer,
+    /// The durable files this index is byte-identical to, as the
+    /// commit or load that vouched for them recorded them; lets
+    /// [`commit_wave`](crate::persist::commit_wave) carry the files
+    /// into the next epoch instead of rewriting them. Set through
+    /// `&self`, emptied by every `&mut self` mutator.
+    durable: OnceLock<DurableFiles>,
 }
 
 impl ConstituentIndex {
@@ -143,6 +151,7 @@ impl ConstituentIndex {
                 .then(|| MembershipFilter::with_capacity(cfg.filter, 0)),
             covering: BTreeMap::new(),
             ingest: IngestBuffer::default(),
+            durable: OnceLock::new(),
         }
     }
 
@@ -278,6 +287,7 @@ impl ConstituentIndex {
     /// (in memory, no I/O). Used when in-place adds saturate the
     /// filter and by `recover` when a persisted sidecar is lost.
     fn rebuild_filter(&mut self) {
+        self.durable.take();
         if !self.cfg.filter.enabled {
             return;
         }
@@ -312,6 +322,7 @@ impl ConstituentIndex {
         vol: &mut Volume,
         batches: &[&DayBatch],
     ) -> IndexResult<()> {
+        self.durable.take();
         let mut incoming: BTreeMap<SearchValue, Vec<Entry>> = BTreeMap::new();
         for batch in batches {
             self.days.insert(batch.day);
@@ -422,6 +433,7 @@ impl ConstituentIndex {
         vol: &mut Volume,
         victim_days: &BTreeSet<Day>,
     ) -> IndexResult<()> {
+        self.durable.take();
         let mut affected: BTreeSet<SearchValue> = BTreeSet::new();
         for day in victim_days {
             if let Some(values) = self.day_values.remove(day) {
@@ -779,6 +791,7 @@ impl ConstituentIndex {
     /// day's affected values for the spill, or retracts a day that
     /// only ever existed in the buffer.
     fn buffer_delete_days(&mut self, vol: &Volume, victim_days: &BTreeSet<Day>) {
+        self.durable.take();
         let mut dropped_any = false;
         let mut buffered = 0u64;
         for day in victim_days {
@@ -820,6 +833,7 @@ impl ConstituentIndex {
 
     /// Buffers `AddToIndex` batches as pending memtable entries.
     fn buffer_add_batches(&mut self, vol: &Volume, batches: &[&DayBatch]) {
+        self.durable.take();
         let mut incoming: BTreeMap<SearchValue, Vec<Entry>> = BTreeMap::new();
         for batch in batches {
             self.days.insert(batch.day);
@@ -874,6 +888,7 @@ impl ConstituentIndex {
     /// only moves the physical layer; queries answer identically
     /// before and after.
     pub(crate) fn spill_in_place(&mut self, vol: &mut Volume) -> IndexResult<u64> {
+        self.durable.take();
         let (deletes, adds) = self.ingest.drain();
         if deletes.is_empty() && adds.is_empty() {
             return Ok(0);
@@ -1031,6 +1046,7 @@ impl ConstituentIndex {
         pending_days: &[Day],
         adds: BTreeMap<SearchValue, Vec<Entry>>,
     ) {
+        self.durable.take();
         let victims: BTreeSet<Day> = deletes.iter().copied().collect();
         self.buffer_delete_days(vol, &victims);
         for day in pending_days {
@@ -1170,6 +1186,7 @@ impl ConstituentIndex {
 
     /// Renames the index (the algorithms' `Rename T as I_j`).
     pub fn set_label(&mut self, label: impl Into<String>) {
+        self.durable.take();
         self.label = label.into();
     }
 
@@ -1243,7 +1260,22 @@ impl ConstituentIndex {
     /// from pre-commit deletes, which a fresh rebuild would not — both
     /// are correct, so the persisted state wins for fidelity.
     pub(crate) fn install_filter(&mut self, filter: MembershipFilter) {
+        self.durable.take();
         self.filter = Some(filter);
+    }
+
+    /// The durable files this index is still byte-identical to, if a
+    /// commit or load recorded any and no mutator has run since.
+    pub(crate) fn durable(&self) -> Option<&DurableFiles> {
+        self.durable.get()
+    }
+
+    /// Records that `files` hold exactly this index's image, filter
+    /// and ingest log. A marker that is already set stays: it names
+    /// other files with the same bytes (a commit to a second store),
+    /// and the next mutator drops it either way.
+    pub(crate) fn mark_durable(&self, files: DurableFiles) {
+        let _ = self.durable.set(files);
     }
 
     /// Number of values currently covered in memory.
@@ -1626,5 +1658,65 @@ mod tests {
         assert_eq!(idx.scan(&mut vol).unwrap().len(), 3);
         idx.check_consistency(&mut vol).unwrap();
         idx.release(&mut vol).unwrap();
+    }
+
+    /// The durable marker is what lets `commit_wave` skip a
+    /// constituent, so every `&mut self` method must drop it — also
+    /// the ones only the loaders call, which no commit-level
+    /// equivalence test can reach with a marker set.
+    #[test]
+    fn every_mutator_drops_the_durable_marker() {
+        type Mutator = fn(&mut ConstituentIndex, &mut Volume);
+        let mutators: [(&str, Mutator); 9] = [
+            ("add_batches_in_place", |idx, vol| {
+                let b = batch(3, &[(9, &["x"])]);
+                idx.add_batches_in_place(vol, &[&b]).unwrap();
+            }),
+            ("delete_days_in_place", |idx, vol| {
+                idx.delete_days_in_place(vol, &BTreeSet::from([Day(1)]))
+                    .unwrap();
+            }),
+            ("buffer_update (delete)", |idx, vol| {
+                idx.buffer_update(vol, &BTreeSet::from([Day(1)]), &[]);
+            }),
+            ("buffer_update (add)", |idx, vol| {
+                let b = batch(3, &[(9, &["x"])]);
+                idx.buffer_update(vol, &BTreeSet::new(), &[&b]);
+            }),
+            ("spill_in_place", |idx, vol| {
+                idx.spill_in_place(vol).unwrap();
+            }),
+            ("replay_ingest", |idx, vol| {
+                idx.replay_ingest(vol, &[], &[Day(3)], BTreeMap::new());
+            }),
+            ("rebuild_filter", |idx, _| idx.rebuild_filter()),
+            ("install_filter", |idx, _| {
+                idx.install_filter(MembershipFilter::with_capacity(FilterConfig::default(), 4));
+            }),
+            ("set_label", |idx, _| idx.set_label("renamed")),
+        ];
+        let file = |name: &str| crate::persist::FileRef {
+            file: name.into(),
+            len: 1,
+            crc64: 1,
+        };
+        for (name, mutate) in mutators {
+            let mut vol = Volume::default();
+            let b1 = batch(1, &[(1, &["x", "y"])]);
+            let b2 = batch(2, &[(2, &["x"])]);
+            let mut idx =
+                ConstituentIndex::build_packed("I", cfg(), &mut vol, &[&b1, &b2]).unwrap();
+            // A dirty buffer, so the spill has something to move.
+            idx.buffer_update(&vol, &BTreeSet::new(), &[&batch(3, &[(3, &["z"])])]);
+            idx.mark_durable(DurableFiles {
+                image: file("slot0.e1"),
+                filter: Some(file("slot0.e1.filt")),
+                ingest: Some(file("slot0.e1.ing")),
+            });
+            assert!(idx.durable().is_some());
+            mutate(&mut idx, &mut vol);
+            assert!(idx.durable().is_none(), "{name} kept the marker");
+            idx.release(&mut vol).unwrap();
+        }
     }
 }

@@ -28,7 +28,7 @@
 
 use std::collections::{BTreeMap, BTreeSet};
 
-use wave_storage::{crc64, Crc64};
+use wave_storage::{crc64, split_trailer, Crc64};
 
 use crate::entry::{Entry, ENTRY_BYTES};
 use crate::error::{IndexError, IndexResult};
@@ -280,13 +280,22 @@ impl IngestBuffer {
         bytes: &[u8],
     ) -> IndexResult<(Vec<Day>, Vec<Day>, BTreeMap<SearchValue, Vec<Entry>>)> {
         let corrupt = |what: &str| IndexError::Corrupt(format!("ingest log: {what}"));
-        if bytes.len() < 4 + 2 + 4 + 4 + 4 + 8 {
-            return Err(corrupt("truncated"));
-        }
-        let (body, trailer) = bytes.split_at(bytes.len() - 8);
-        let stored = u64::from_le_bytes(trailer.try_into().expect("8-byte trailer"));
+        let (body, stored) = split_trailer(bytes).ok_or_else(|| corrupt("truncated"))?;
         if crc64(body) != stored {
             return Err(corrupt("checksum mismatch"));
+        }
+        Self::decode_log_body(body)
+    }
+
+    /// Decodes the body of a `WING` log (everything before the
+    /// trailer) whose checksum the caller has already verified.
+    #[allow(clippy::type_complexity)]
+    pub(crate) fn decode_log_body(
+        body: &[u8],
+    ) -> IndexResult<(Vec<Day>, Vec<Day>, BTreeMap<SearchValue, Vec<Entry>>)> {
+        let corrupt = |what: &str| IndexError::Corrupt(format!("ingest log: {what}"));
+        if body.len() < 4 + 2 + 4 + 4 + 4 {
+            return Err(corrupt("truncated"));
         }
         if &body[0..4] != MAGIC {
             return Err(corrupt("bad magic"));

@@ -24,8 +24,11 @@
 //! with its own CRC64 line). [`commit_wave`] makes a transition
 //! durable in two phases:
 //!
-//! 1. write every constituent image under an epoch-suffixed name
-//!    (`slot3.e17`) — old epoch files are untouched;
+//! 1. make every constituent's files durable: a constituent that
+//!    changed since the last commit is written under an epoch-suffixed
+//!    name (`slot3.e17`), an unchanged one keeps the files an earlier
+//!    epoch wrote (see "Incremental commit") — files the old manifest
+//!    references are never modified;
 //! 2. atomically flip `MANIFEST` to reference the new file set, then
 //!    garbage-collect files no manifest references.
 //!
@@ -33,6 +36,55 @@
 //! any instant leaves the store describing either the pre- or the
 //! post-transition wave; anything else on disk is an orphan that
 //! [`crate::recovery::recover`] (or the next commit) sweeps up.
+//!
+//! ## Incremental commit
+//!
+//! A daily transition touches one constituent of the wave and leaves
+//! the other n-1 alone, and a commit costs accordingly. Every
+//! [`ConstituentIndex`] remembers the durable files it is
+//! byte-identical to (image, `.filt`, `.ing`, each as name + length +
+//! checksum). The marker is set when a commit
+//! publishes the constituent or a load decodes it, and dropped by
+//! every method that can change a byte of any of the three encodings.
+//! Phase 1 carries a file into the new manifest instead of rewriting
+//! it when all of these hold:
+//!
+//! * the constituent's marker names it;
+//! * the previous manifest of *this* store is a `wave-manifest 2` and
+//!   lists the same `(name, length, checksum)` — a marker minted
+//!   against another store, or against a file that recovery has since
+//!   rebuilt, does not match and is ignored;
+//! * the store's listing still holds the name.
+//!
+//! Anything else is encoded and written, so a full rewrite is simply
+//! the case where no marker matches — a freshly built wave, the first
+//! commit to a store, the first commit over a `wave-manifest 1`. There
+//! is one phase-1 loop and nothing selects between two modes. A
+//! carried file keeps its name, so it may outlive the epoch in its
+//! suffix and, if the wave's slots rotate, serve another slot: the
+//! names are unique labels, and nothing parses them. Garbage
+//! collection still removes exactly what the new manifest does not
+//! reference. Debug builds re-encode every carried file inside
+//! [`commit_wave`] and fail the commit with [`IndexError::Corrupt`] if
+//! its bytes no longer match the marker, so every suite that commits
+//! twice checks the markers for free.
+//!
+//! ## What the per-file checksum is
+//!
+//! Every image, `.filt` and `.ing` ends in its own CRC-64/XZ trailer.
+//! A `wave-manifest 1` recorded the CRC of the *whole* file — trailer
+//! included — and the CRC of any message followed by its own CRC is a
+//! constant of the polynomial (`b66a73654282cac0`), the same for every
+//! file ever written: that checksum detected nothing the trailer did
+//! not, and a stale or swapped file of the right name, length and
+//! label passed [`load_committed`] and [`fsck`]. A `wave-manifest 2`
+//! records the file's *trailer value*, the CRC of its body, which does
+//! identify content. Verification is one pass per file —
+//! `crc64(body) == trailer == manifest value` —
+//! after which the decoder parses the verified body without
+//! checksumming it again. `wave-manifest 1` stores still load and
+//! fsck clean under their whole-file semantics, are never reused
+//! from, and become `wave-manifest 2` at their first commit.
 //!
 //! # Filter sidecars
 //!
@@ -61,7 +113,7 @@
 
 use std::collections::{BTreeMap, BTreeSet};
 
-use wave_storage::{crc64, IndexStore, RetryPolicy, Volume};
+use wave_storage::{crc64, split_trailer, IndexStore, RetryPolicy, Volume};
 
 use crate::entry::{Entry, ENTRY_BYTES};
 use crate::error::{IndexError, IndexResult};
@@ -77,6 +129,11 @@ pub const VERSION: u16 = 2;
 pub const VERSION_V1: u16 = 1;
 /// Name of the committed-wave manifest file.
 pub const MANIFEST_NAME: &str = "MANIFEST";
+/// Current manifest version: per-file checksums are trailer values.
+pub const MANIFEST_VERSION: u32 = 2;
+/// Legacy manifest version (per-file checksums are whole-file CRCs),
+/// still readable; the first commit over it rewrites every file.
+pub const MANIFEST_VERSION_V1: u32 = 1;
 /// Suffix recovery gives quarantined (corrupt but preserved) files.
 pub const QUARANTINE_SUFFIX: &str = ".quar";
 
@@ -120,6 +177,14 @@ pub fn index_to_bytes(idx: &ConstituentIndex, vol: &mut Volume) -> IndexResult<V
     Ok(out)
 }
 
+/// Validates an image's magic and returns its format version.
+fn image_version(bytes: &[u8]) -> IndexResult<u16> {
+    match bytes.get(..6).and_then(|h| h.split_first_chunk::<4>()) {
+        Some((magic, &[lo, hi])) if magic == MAGIC => Ok(u16::from_le_bytes([lo, hi])),
+        _ => Err(IndexError::Corrupt("bad persistence magic".into())),
+    }
+}
+
 /// Rebuilds a (packed) index from a serialised image, reporting its
 /// format version and whether a checksum verified the bytes.
 pub fn decode_index(
@@ -127,33 +192,13 @@ pub fn decode_index(
     vol: &mut Volume,
     bytes: &[u8],
 ) -> IndexResult<(ConstituentIndex, ImageInfo)> {
-    if bytes.len() < 6 || &bytes[..4] != MAGIC {
-        return Err(IndexError::Corrupt("bad persistence magic".into()));
-    }
-    let version = u16::from_le_bytes(
-        bytes[4..6]
-            .try_into()
-            .map_err(|_| IndexError::Corrupt("image version field truncated".into()))?,
-    );
-    let (body, info) = match version {
-        VERSION_V1 => (
-            bytes,
-            ImageInfo {
-                version,
-                verified: false,
-            },
-        ),
+    let version = image_version(bytes)?;
+    let body = match version {
+        VERSION_V1 => bytes,
         VERSION => {
-            if bytes.len() < 6 + 8 {
-                return Err(IndexError::Corrupt("v2 image too short for trailer".into()));
-            }
-            let split = bytes.len() - 8;
-            let expected = u64::from_le_bytes(
-                bytes[split..]
-                    .try_into()
-                    .map_err(|_| IndexError::Corrupt("image checksum trailer truncated".into()))?,
-            );
-            let got = crc64(&bytes[..split]);
+            let (body, expected) = split_trailer(bytes)
+                .ok_or_else(|| IndexError::Corrupt("v2 image too short for trailer".into()))?;
+            let got = crc64(body);
             if got != expected {
                 return Err(IndexError::ChecksumMismatch {
                     what: "index image".into(),
@@ -161,13 +206,7 @@ pub fn decode_index(
                     got,
                 });
             }
-            (
-                &bytes[..split],
-                ImageInfo {
-                    version,
-                    verified: true,
-                },
-            )
+            body
         }
         other => {
             return Err(IndexError::Corrupt(format!(
@@ -176,7 +215,13 @@ pub fn decode_index(
         }
     };
     let idx = decode_body(cfg, vol, body)?;
-    Ok((idx, info))
+    Ok((
+        idx,
+        ImageInfo {
+            version,
+            verified: version == VERSION,
+        },
+    ))
 }
 
 /// Rebuilds a (packed) index from a serialised image.
@@ -227,39 +272,69 @@ fn decode_body(cfg: IndexConfig, vol: &mut Volume, body: &[u8]) -> IndexResult<C
     ConstituentIndex::build_from_map(label, cfg, vol, map, days)
 }
 
-/// A membership-filter sidecar file as the manifest records it.
-///
-/// The sidecar is derived data — losing it costs a rebuild during
-/// [`crate::recovery::recover`], never any answers — but while it is
-/// referenced it is held to the same standard as a constituent image:
-/// exact length and whole-file CRC64.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct FilterRef {
-    /// Sidecar file name inside the store (`slot{j}.e{epoch}.filt`).
+/// One durable file as a manifest names it: name, exact length and
+/// checksum. Under `wave-manifest 2` the checksum is the file's own
+/// CRC64 trailer — the CRC of its body — so equal triples mean equal
+/// bytes; under `wave-manifest 1` it was the CRC of the whole file.
+#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord)]
+pub struct FileRef {
+    /// File name inside the store.
     pub file: String,
     /// Exact file length in bytes.
     pub len: u64,
-    /// CRC64 of the whole file.
+    /// The file's checksum (see the type docs for which one).
     pub crc64: u64,
 }
 
-/// An ingest-log sidecar file as the manifest records it.
-///
-/// Written when a constituent is committed with a dirty ingest buffer
-/// (`slot{j}.e{epoch}.ing`): the serialized memtable that
-/// [`load_committed`] and [`crate::recovery::recover`] replay over
-/// the decoded physical image. Unlike a filter sidecar the log is
-/// **not** derived data — the buffered entries exist nowhere else in
-/// the store — so a torn log costs a constituent rebuild from the
-/// archive instead of a cheap in-memory rebuild.
+impl FileRef {
+    /// The reference a manifest of `version` records for `bytes`
+    /// stored as `file`.
+    pub(crate) fn of(version: u32, file: String, bytes: &[u8]) -> IndexResult<FileRef> {
+        let crc64 = if version == MANIFEST_VERSION_V1 {
+            crc64(bytes)
+        } else {
+            split_trailer(bytes)
+                .ok_or_else(|| IndexError::Corrupt(format!("{file}: no checksum trailer")))?
+                .1
+        };
+        Ok(FileRef {
+            file,
+            len: bytes.len() as u64,
+            crc64,
+        })
+    }
+}
+
+/// A membership-filter sidecar (`slot{j}.e{epoch}.filt`) as the
+/// manifest records it. The sidecar is derived data — losing it costs
+/// a rebuild during [`crate::recovery::recover`], never any answers —
+/// but while it is referenced it is held to the same standard as a
+/// constituent image.
+pub type FilterRef = FileRef;
+
+/// An ingest-log sidecar (`slot{j}.e{epoch}.ing`) as the manifest
+/// records it: the serialized memtable of a constituent committed with
+/// a dirty ingest buffer, replayed over the decoded physical image by
+/// [`load_committed`] and [`crate::recovery::recover`]. Unlike a
+/// filter sidecar the log is **not** derived data — the buffered
+/// entries exist nowhere else in the store — so a torn log costs a
+/// constituent rebuild from the archive.
+pub type IngestRef = FileRef;
+
+/// The durable files a [`ConstituentIndex`] is byte-identical to: what
+/// [`commit_wave`] wrote (or carried over) for it, or what
+/// [`load_committed`] / [`crate::recovery::recover`] decoded it from.
+/// The index holds this until its next mutation, and the next commit
+/// to the same store references the files again instead of rewriting
+/// them.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct IngestRef {
-    /// Sidecar file name inside the store (`slot{j}.e{epoch}.ing`).
-    pub file: String,
-    /// Exact file length in bytes.
-    pub len: u64,
-    /// CRC64 of the whole file.
-    pub crc64: u64,
+pub(crate) struct DurableFiles {
+    /// The constituent image.
+    pub(crate) image: FileRef,
+    /// The filter sidecar holding exactly the index's filter.
+    pub(crate) filter: Option<FilterRef>,
+    /// The ingest log holding exactly the index's dirty buffer.
+    pub(crate) ingest: Option<IngestRef>,
 }
 
 /// One constituent file as the manifest records it.
@@ -271,7 +346,7 @@ pub struct ManifestEntry {
     pub file: String,
     /// Exact file length in bytes.
     pub len: u64,
-    /// CRC64 of the whole file.
+    /// Checksum of the image, as [`FileRef::crc64`] defines it.
     pub crc64: u64,
     /// Label of the constituent index.
     pub label: String,
@@ -287,10 +362,32 @@ pub struct ManifestEntry {
     pub ingest: Option<IngestRef>,
 }
 
+impl ManifestEntry {
+    /// The constituent image as a [`FileRef`].
+    pub fn image(&self) -> FileRef {
+        FileRef {
+            file: self.file.clone(),
+            len: self.len,
+            crc64: self.crc64,
+        }
+    }
+
+    /// Every file the entry references: image, then sidecars.
+    pub fn files(&self) -> impl Iterator<Item = &str> {
+        std::iter::once(self.file.as_str())
+            .chain(self.filter.as_ref().map(|f| f.file.as_str()))
+            .chain(self.ingest.as_ref().map(|l| l.file.as_str()))
+    }
+}
+
 /// The committed state of a wave index: which epoch is live, what it
 /// covers, and the exact file set (with checksums) forming it.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Manifest {
+    /// Format version: [`MANIFEST_VERSION`], or
+    /// [`MANIFEST_VERSION_V1`] for a store last committed before
+    /// per-file checksums identified content.
+    pub version: u32,
     /// Monotonic commit counter; each [`commit_wave`] bumps it.
     pub epoch: u64,
     /// `[oldest, newest]` days the wave covers (`None` if empty).
@@ -304,7 +401,7 @@ pub struct Manifest {
 impl Manifest {
     /// Serialises the manifest, ending with its own `crc` line.
     pub fn to_bytes(&self) -> Vec<u8> {
-        let mut text = String::from("wave-manifest 1\n");
+        let mut text = format!("wave-manifest {}\n", self.version);
         text.push_str(&format!("epoch {}\n", self.epoch));
         match self.window {
             Some((lo, hi)) => text.push_str(&format!("window {} {}\n", lo.0, hi.0)),
@@ -330,17 +427,13 @@ impl Manifest {
                 hex_encode(e.label.as_bytes()),
                 days
             ));
-            if let Some(f) = &e.filter {
-                text.push_str(&format!(
-                    "filter {} {} {} {:016x}\n",
-                    e.slot, f.file, f.len, f.crc64
-                ));
-            }
-            if let Some(l) = &e.ingest {
-                text.push_str(&format!(
-                    "ingest {} {} {} {:016x}\n",
-                    e.slot, l.file, l.len, l.crc64
-                ));
+            for (kind, sidecar) in [("filter", &e.filter), ("ingest", &e.ingest)] {
+                if let Some(r) = sidecar {
+                    text.push_str(&format!(
+                        "{kind} {} {} {} {:016x}\n",
+                        e.slot, r.file, r.len, r.crc64
+                    ));
+                }
             }
         }
         let mut out = text.into_bytes();
@@ -353,11 +446,10 @@ impl Manifest {
     pub fn from_bytes(bytes: &[u8]) -> IndexResult<Manifest> {
         // The crc line is fixed-width: "crc " + 16 hex digits + "\n".
         const CRC_LINE: usize = 4 + 16 + 1;
-        if bytes.len() < CRC_LINE {
-            return Err(IndexError::Corrupt("manifest truncated".into()));
-        }
-        let split = bytes.len() - CRC_LINE;
-        let trailer = std::str::from_utf8(&bytes[split..])
+        let (body, trailer) = bytes
+            .split_last_chunk::<CRC_LINE>()
+            .ok_or_else(|| IndexError::Corrupt("manifest truncated".into()))?;
+        let trailer = std::str::from_utf8(trailer)
             .map_err(|_| IndexError::Corrupt("manifest crc line is not UTF-8".into()))?;
         let expected = trailer
             .strip_prefix("crc ")
@@ -368,7 +460,7 @@ impl Manifest {
             .filter(|s| s.bytes().all(|b| matches!(b, b'0'..=b'9' | b'a'..=b'f')))
             .and_then(|s| u64::from_str_radix(s, 16).ok())
             .ok_or_else(|| IndexError::Corrupt("manifest missing crc line".into()))?;
-        let got = crc64(&bytes[..split]);
+        let got = crc64(body);
         if got != expected {
             return Err(IndexError::ChecksumMismatch {
                 what: "manifest".into(),
@@ -376,13 +468,15 @@ impl Manifest {
                 got,
             });
         }
-        let text = std::str::from_utf8(&bytes[..split])
+        let text = std::str::from_utf8(body)
             .map_err(|_| IndexError::Corrupt("manifest is not UTF-8".into()))?;
         let corrupt = |msg: &str| IndexError::Corrupt(format!("manifest: {msg}"));
         let mut lines = text.lines();
-        if lines.next() != Some("wave-manifest 1") {
-            return Err(corrupt("bad header"));
-        }
+        let version = match lines.next() {
+            Some("wave-manifest 1") => MANIFEST_VERSION_V1,
+            Some("wave-manifest 2") => MANIFEST_VERSION,
+            _ => return Err(corrupt("bad header")),
+        };
         let mut epoch = None;
         let mut window = None;
         let mut slots = None;
@@ -410,105 +504,69 @@ impl Manifest {
                     let v = parts.next().ok_or_else(|| corrupt("slots missing value"))?;
                     slots = Some(v.parse().map_err(|_| corrupt("bad slots"))?);
                 }
-                Some("slot") => {
+                // Image and sidecar lines share `slot name len checksum`.
+                Some(kind @ ("slot" | "filter" | "ingest")) => {
                     let mut field = |what: &str| {
                         parts
                             .next()
-                            .map(str::to_string)
-                            .ok_or_else(|| corrupt(&format!("slot entry missing {what}")))
+                            .ok_or_else(|| corrupt(&format!("{kind} entry missing {what}")))
                     };
-                    let slot = field("slot")?.parse().map_err(|_| corrupt("bad slot"))?;
-                    let file = field("file")?;
-                    let len = field("len")?.parse().map_err(|_| corrupt("bad len"))?;
-                    let crc = u64::from_str_radix(&field("crc")?, 16)
-                        .map_err(|_| corrupt("bad entry crc"))?;
-                    let label = String::from_utf8(
-                        hex_decode(&field("label")?).ok_or_else(|| corrupt("bad label hex"))?,
-                    )
-                    .map_err(|_| corrupt("label is not UTF-8"))?;
-                    let days_field = field("days")?;
-                    let days = if days_field == "-" {
-                        Vec::new()
+                    let slot: usize = field("slot")?
+                        .parse()
+                        .map_err(|_| corrupt(&format!("bad {kind} slot")))?;
+                    let file = field("file")?.to_string();
+                    let len = field("len")?
+                        .parse()
+                        .map_err(|_| corrupt(&format!("bad {kind} len")))?;
+                    let crc64 = u64::from_str_radix(field("crc")?, 16)
+                        .map_err(|_| corrupt(&format!("bad {kind} crc")))?;
+                    if kind == "slot" {
+                        let label = String::from_utf8(
+                            hex_decode(field("label")?).ok_or_else(|| corrupt("bad label hex"))?,
+                        )
+                        .map_err(|_| corrupt("label is not UTF-8"))?;
+                        let days_field = field("days")?;
+                        let days = if days_field == "-" {
+                            Vec::new()
+                        } else {
+                            days_field
+                                .split(',')
+                                .map(|d| d.parse().map(Day).map_err(|_| corrupt("bad day")))
+                                .collect::<IndexResult<Vec<Day>>>()?
+                        };
+                        entries.push(ManifestEntry {
+                            slot,
+                            file,
+                            len,
+                            crc64,
+                            label,
+                            days,
+                            filter: None,
+                            ingest: None,
+                        });
+                        continue;
+                    }
+                    // A sidecar line follows the slot line it belongs to.
+                    let entry = entries
+                        .iter_mut()
+                        .find(|e| e.slot == slot)
+                        .ok_or_else(|| corrupt(&format!("{kind} line for unknown slot {slot}")))?;
+                    let sidecar = if kind == "filter" {
+                        &mut entry.filter
                     } else {
-                        days_field
-                            .split(',')
-                            .map(|d| d.parse().map(Day).map_err(|_| corrupt("bad day")))
-                            .collect::<IndexResult<Vec<Day>>>()?
+                        &mut entry.ingest
                     };
-                    entries.push(ManifestEntry {
-                        slot,
-                        file,
-                        len,
-                        crc64: crc,
-                        label,
-                        days,
-                        filter: None,
-                        ingest: None,
-                    });
-                }
-                Some("filter") => {
-                    let mut field = |what: &str| {
-                        parts
-                            .next()
-                            .map(str::to_string)
-                            .ok_or_else(|| corrupt(&format!("filter entry missing {what}")))
-                    };
-                    let slot: usize = field("slot")?
-                        .parse()
-                        .map_err(|_| corrupt("bad filter slot"))?;
-                    let file = field("file")?;
-                    let len = field("len")?
-                        .parse()
-                        .map_err(|_| corrupt("bad filter len"))?;
-                    let crc = u64::from_str_radix(&field("crc")?, 16)
-                        .map_err(|_| corrupt("bad filter crc"))?;
-                    let entry = entries
-                        .iter_mut()
-                        .find(|e| e.slot == slot)
-                        .ok_or_else(|| corrupt(&format!("filter line for unknown slot {slot}")))?;
-                    if entry.filter.is_some() {
-                        return Err(corrupt(&format!("duplicate filter line for slot {slot}")));
+                    if sidecar.is_some() {
+                        return Err(corrupt(&format!("duplicate {kind} line for slot {slot}")));
                     }
-                    entry.filter = Some(FilterRef {
-                        file,
-                        len,
-                        crc64: crc,
-                    });
-                }
-                Some("ingest") => {
-                    let mut field = |what: &str| {
-                        parts
-                            .next()
-                            .map(str::to_string)
-                            .ok_or_else(|| corrupt(&format!("ingest entry missing {what}")))
-                    };
-                    let slot: usize = field("slot")?
-                        .parse()
-                        .map_err(|_| corrupt("bad ingest slot"))?;
-                    let file = field("file")?;
-                    let len = field("len")?
-                        .parse()
-                        .map_err(|_| corrupt("bad ingest len"))?;
-                    let crc = u64::from_str_radix(&field("crc")?, 16)
-                        .map_err(|_| corrupt("bad ingest crc"))?;
-                    let entry = entries
-                        .iter_mut()
-                        .find(|e| e.slot == slot)
-                        .ok_or_else(|| corrupt(&format!("ingest line for unknown slot {slot}")))?;
-                    if entry.ingest.is_some() {
-                        return Err(corrupt(&format!("duplicate ingest line for slot {slot}")));
-                    }
-                    entry.ingest = Some(IngestRef {
-                        file,
-                        len,
-                        crc64: crc,
-                    });
+                    *sidecar = Some(FileRef { file, len, crc64 });
                 }
                 Some("") | None => {}
                 Some(other) => return Err(corrupt(&format!("unknown line kind {other:?}"))),
             }
         }
         let manifest = Manifest {
+            version,
             epoch: epoch.ok_or_else(|| corrupt("no epoch"))?,
             window: window.ok_or_else(|| corrupt("no window"))?,
             slots: slots.ok_or_else(|| corrupt("no slots"))?,
@@ -528,6 +586,121 @@ impl Manifest {
         }
         Ok(manifest)
     }
+
+    /// Checks `bytes`, read from `file`, against what this manifest
+    /// records for it: the exact length, then the checksum in a single
+    /// CRC pass. Under `wave-manifest 2` that pass proves
+    /// `crc64(body) == trailer == recorded value`, and the verified
+    /// body is returned so the decoder need not checksum it again.
+    /// Under `wave-manifest 1` the recorded value is the whole-file
+    /// CRC, which every trailer-checksummed file shares; `None` tells
+    /// the caller to use the self-verifying decoder.
+    pub(crate) fn verify<'a>(
+        &self,
+        file: &str,
+        len: u64,
+        expected: u64,
+        bytes: &'a [u8],
+    ) -> IndexResult<Option<&'a [u8]>> {
+        if bytes.len() as u64 != len {
+            return Err(IndexError::Corrupt(format!(
+                "{file}: length {} != manifest {len}",
+                bytes.len()
+            )));
+        }
+        let mismatch = |got| IndexError::ChecksumMismatch {
+            what: file.to_string(),
+            expected,
+            got,
+        };
+        if self.version == MANIFEST_VERSION_V1 {
+            let got = crc64(bytes);
+            return if got == expected {
+                Ok(None)
+            } else {
+                Err(mismatch(got))
+            };
+        }
+        let (body, stored) = split_trailer(bytes)
+            .ok_or_else(|| IndexError::Corrupt(format!("{file}: no checksum trailer")))?;
+        if stored != expected {
+            return Err(mismatch(stored));
+        }
+        let got = crc64(body);
+        if got != expected {
+            return Err(mismatch(got));
+        }
+        Ok(Some(body))
+    }
+
+    /// Verifies a fetched constituent image against its entry `e`
+    /// (length, checksum, label) and decodes it.
+    pub(crate) fn decode_image(
+        &self,
+        cfg: IndexConfig,
+        vol: &mut Volume,
+        e: &ManifestEntry,
+        bytes: &[u8],
+    ) -> IndexResult<(ConstituentIndex, ImageInfo)> {
+        let (idx, info) = match self.verify(&e.file, e.len, e.crc64, bytes)? {
+            Some(body) => {
+                let version = image_version(body)?;
+                if version != VERSION {
+                    return Err(IndexError::Corrupt(format!(
+                        "{}: image version {version} under a trailer-checksummed manifest",
+                        e.file
+                    )));
+                }
+                let verified = true;
+                (
+                    decode_body(cfg, vol, body)?,
+                    ImageInfo { version, verified },
+                )
+            }
+            None => decode_index(cfg, vol, bytes)?,
+        };
+        if idx.label() != e.label {
+            let msg = format!(
+                "{}: label {:?} != manifest {:?}",
+                e.file,
+                idx.label(),
+                e.label
+            );
+            idx.release(vol)?;
+            return Err(IndexError::Corrupt(msg));
+        }
+        Ok((idx, info))
+    }
+
+    /// Marks `idx` — just decoded from, or just committed as, entry
+    /// `e`'s files — byte-identical to them. The filter sidecar counts
+    /// only when `idx` carries a filter (a filter-disabled config loads
+    /// the image without it), and a `wave-manifest 1` marks nothing:
+    /// its checksums do not identify content and are never reused from.
+    pub(crate) fn mark_durable(&self, e: &ManifestEntry, idx: &ConstituentIndex) {
+        if self.version != MANIFEST_VERSION {
+            return;
+        }
+        idx.mark_durable(DurableFiles {
+            image: e.image(),
+            filter: e
+                .filter
+                .clone()
+                .filter(|_| idx.membership_filter().is_some()),
+            ingest: e.ingest.clone(),
+        });
+    }
+
+    /// How many constituent images this epoch's commit carried over
+    /// from earlier epochs instead of rewriting them (their names
+    /// still carry the epoch that wrote them).
+    pub fn images_carried(&self) -> usize {
+        let suffix = format!(".e{}", self.epoch);
+        self.entries
+            .iter()
+            .filter(|e| !e.file.ends_with(&suffix))
+            .count()
+    }
 }
 
 /// Reads and verifies the committed manifest, or `None` if the store
@@ -544,9 +717,12 @@ pub fn read_manifest(store: &mut dyn IndexStore) -> IndexResult<Option<Manifest>
 pub struct CommitReport {
     /// Epoch the commit published.
     pub epoch: u64,
-    /// Constituent files written (filter sidecars not counted).
+    /// Constituent images written (sidecars not counted).
     pub files_written: usize,
-    /// Image and filter-sidecar bytes written (manifest excluded).
+    /// Constituent images carried over from the previous epoch
+    /// unwritten, because the constituent had not changed since.
+    pub files_reused: usize,
+    /// Image and sidecar bytes written (manifest excluded).
     pub bytes_written: u64,
     /// Superseded or stray files garbage-collected after the flip.
     pub orphans_removed: usize,
@@ -580,12 +756,61 @@ pub fn commit_wave(
                 .max(0.0) as u64;
             span.set_end_field("epoch", report.epoch);
             span.set_end_field("files", report.files_written as u64);
+            span.set_end_field("reused", report.files_reused as u64);
             span.set_end_field("latency_us", us);
             obs.slo().record("commit_wave", None, us, ctx.trace_id);
         }
         Err(e) => span.set_end_field("error", e.to_string()),
     }
     result
+}
+
+/// Phase-1 bookkeeping of one commit: which previous-epoch files may
+/// be carried over, and what was put instead.
+struct Phase1<'a> {
+    store: &'a mut dyn IndexStore,
+    retry: &'a RetryPolicy,
+    retries: wave_obs::Counter,
+    /// Files the previous `wave-manifest 2` of this store references
+    /// and the store still lists — the only files a marker may reuse.
+    reusable: BTreeSet<FileRef>,
+    bytes_written: u64,
+}
+
+impl Phase1<'_> {
+    /// Makes one file of the new epoch durable and returns its
+    /// manifest reference. `durable` is the file the constituent's
+    /// marker says already holds exactly `encode()`'s bytes: when this
+    /// store's previous manifest vouches for the same triple, the file
+    /// is carried over untouched (`Ok((_, false))`); otherwise the
+    /// bytes are encoded and put under `name`.
+    fn persist(
+        &mut self,
+        name: String,
+        durable: Option<&FileRef>,
+        encode: impl FnOnce() -> IndexResult<Vec<u8>>,
+    ) -> IndexResult<(FileRef, bool)> {
+        if let Some(kept) = durable.filter(|r| self.reusable.contains(r)) {
+            // Debug builds re-derive every reused file, so each suite
+            // that commits twice also checks that no mutator forgot to
+            // drop the marker.
+            if cfg!(debug_assertions) {
+                let fresh = FileRef::of(MANIFEST_VERSION, kept.file.clone(), &encode()?)?;
+                if fresh != *kept {
+                    return Err(IndexError::Corrupt(format!(
+                        "{}: stale durable marker (holds {:016x}, index encodes {:016x})",
+                        kept.file, kept.crc64, fresh.crc64
+                    )));
+                }
+            }
+            return Ok((kept.clone(), false));
+        }
+        let bytes = encode()?;
+        self.retry
+            .run(&self.retries, || self.store.put(&name, &bytes))?;
+        self.bytes_written += bytes.len() as u64;
+        Ok((FileRef::of(MANIFEST_VERSION, name, &bytes)?, true))
+    }
 }
 
 fn commit_wave_inner(
@@ -596,36 +821,57 @@ fn commit_wave_inner(
     obs: &wave_obs::Obs,
 ) -> IndexResult<CommitReport> {
     let retries = obs.counter("store.retry_attempts");
-    let prev_bytes = retry.run(&retries, || store.get(MANIFEST_NAME))?;
-    let epoch = match prev_bytes {
-        None => 1,
-        // A corrupt previous manifest means the store needs recovery,
-        // not a blind overwrite that would orphan every live file.
-        Some(bytes) => Manifest::from_bytes(&bytes)?.epoch + 1,
+    // A corrupt previous manifest means the store needs recovery, not
+    // a blind overwrite that would orphan every live file.
+    let prev = match retry.run(&retries, || store.get(MANIFEST_NAME))? {
+        None => None,
+        Some(bytes) => Some(Manifest::from_bytes(&bytes)?),
     };
+    let epoch = prev.as_ref().map_or(1, |m| m.epoch + 1);
+    // Only a `wave-manifest 2` checksum identifies content, and only a
+    // file still in the store can be referenced again.
+    let mut reusable = BTreeSet::new();
+    if let Some(prev) = prev.filter(|m| m.version == MANIFEST_VERSION) {
+        let present: BTreeSet<String> = retry.run(&retries, || store.list())?.into_iter().collect();
+        reusable = prev
+            .entries
+            .into_iter()
+            .flat_map(|e| [Some(e.image()), e.filter, e.ingest])
+            .flatten()
+            .filter(|r| present.contains(&r.file))
+            .collect();
+    }
 
-    // Phase 1: write the new epoch's constituent files (and their
-    // filter sidecars). Old epoch files remain untouched and
-    // referenced by the old manifest.
+    // Phase 1: make every constituent's files durable — carried over
+    // from the previous epoch where the constituent's marker allows,
+    // written under an epoch-suffixed name otherwise. Files the
+    // previous manifest references are never modified.
+    let mut phase1 = Phase1 {
+        store,
+        retry,
+        retries: retries.clone(),
+        reusable,
+        bytes_written: 0,
+    };
     let mut entries = Vec::new();
-    let mut bytes_written = 0u64;
+    let mut files_written = 0usize;
     for (j, idx) in wave.iter() {
-        let image = index_to_bytes(idx, vol)?;
+        let durable = idx.durable();
         let name = format!("slot{j}.e{epoch}");
-        retry.run(&retries, || store.put(&name, &image))?;
-        bytes_written += image.len() as u64;
+        let (image, written) = phase1.persist(name.clone(), durable.map(|d| &d.image), || {
+            index_to_bytes(idx, vol)
+        })?;
+        files_written += usize::from(written);
         let filter = match idx.membership_filter() {
-            Some(f) => {
-                let sidecar = f.to_bytes();
-                let filt_name = format!("{name}.filt");
-                retry.run(&retries, || store.put(&filt_name, &sidecar))?;
-                bytes_written += sidecar.len() as u64;
-                Some(FilterRef {
-                    file: filt_name,
-                    len: sidecar.len() as u64,
-                    crc64: crc64(&sidecar),
-                })
-            }
+            Some(f) => Some(
+                phase1
+                    .persist(
+                        format!("{name}.filt"),
+                        durable.and_then(|d| d.filter.as_ref()),
+                        || Ok(f.to_bytes()),
+                    )?
+                    .0,
+            ),
             None => None,
         };
         // A dirty ingest buffer rides along as a `.ing` sidecar in
@@ -636,30 +882,35 @@ fn commit_wave_inner(
         let ingest = if idx.ingest().is_empty() {
             None
         } else {
-            let log = idx.ingest().to_bytes();
-            let log_name = format!("{name}.ing");
-            retry.run(&retries, || store.put(&log_name, &log))?;
-            bytes_written += log.len() as u64;
-            obs.counter("ingest.log_writes").inc();
-            Some(IngestRef {
-                file: log_name,
-                len: log.len() as u64,
-                crc64: crc64(&log),
-            })
+            let (log, written) = phase1.persist(
+                format!("{name}.ing"),
+                durable.and_then(|d| d.ingest.as_ref()),
+                || Ok(idx.ingest().to_bytes()),
+            )?;
+            if written {
+                obs.counter("ingest.log_writes").inc();
+            }
+            Some(log)
         };
         entries.push(ManifestEntry {
             slot: j,
-            file: name,
-            len: image.len() as u64,
-            crc64: crc64(&image),
+            file: image.file,
+            len: image.len,
+            crc64: image.crc64,
             label: idx.label().to_string(),
             days: idx.days().iter().copied().collect(),
             filter,
             ingest,
         });
     }
+    let Phase1 {
+        store,
+        bytes_written,
+        ..
+    } = phase1;
     let covered = wave.covered_days();
     let manifest = Manifest {
+        version: MANIFEST_VERSION,
         epoch,
         window: covered
             .iter()
@@ -674,15 +925,11 @@ fn commit_wave_inner(
     retry.run(&retries, || store.put(MANIFEST_NAME, &manifest.to_bytes()))?;
 
     // … then garbage-collect everything no longer referenced
-    // (filter sidecars are referenced files like any other).
+    // (sidecars are referenced files like any other).
     let referenced: BTreeSet<&str> = manifest
         .entries
         .iter()
-        .flat_map(|e| {
-            std::iter::once(e.file.as_str())
-                .chain(e.filter.as_ref().map(|f| f.file.as_str()))
-                .chain(e.ingest.as_ref().map(|l| l.file.as_str()))
-        })
+        .flat_map(ManifestEntry::files)
         .collect();
     let mut orphans_removed = 0usize;
     for name in retry.run(&retries, || store.list())? {
@@ -696,19 +943,32 @@ fn commit_wave_inner(
         orphans_removed += 1;
     }
 
+    // The new epoch is durable: every constituent is now byte-identical
+    // to the files its entry names.
+    for e in &manifest.entries {
+        if let Some(idx) = wave.slot(e.slot) {
+            manifest.mark_durable(e, idx);
+        }
+    }
+
+    let files_reused = manifest.entries.len() - files_written;
     obs.counter("persist.commits").inc();
+    obs.counter("persist.files_reused").add(files_reused as u64);
+    obs.counter("persist.bytes_written").add(bytes_written);
     obs.event(
         "commit",
         wave_obs::fields![
             ("epoch", epoch),
-            ("files", manifest.entries.len() as u64),
+            ("files", files_written as u64),
+            ("reused", files_reused as u64),
             ("bytes", bytes_written),
             ("orphans_removed", orphans_removed as u64)
         ],
     );
     Ok(CommitReport {
         epoch,
-        files_written: manifest.entries.len(),
+        files_written,
+        files_reused,
         bytes_written,
         orphans_removed,
     })
@@ -755,73 +1015,39 @@ pub fn load_committed(
     let mut provenance = Vec::new();
     let mut load = || -> IndexResult<()> {
         for e in &manifest.entries {
-            let bytes = store.get(&e.file)?.ok_or_else(|| {
-                IndexError::Corrupt(format!("manifest references missing file {}", e.file))
-            })?;
-            if bytes.len() as u64 != e.len {
-                return Err(IndexError::Corrupt(format!(
-                    "{}: length {} != manifest {}",
-                    e.file,
-                    bytes.len(),
-                    e.len
-                )));
-            }
-            let got = crc64(&bytes);
-            if got != e.crc64 {
-                return Err(IndexError::ChecksumMismatch {
-                    what: e.file.clone(),
-                    expected: e.crc64,
-                    got,
-                });
-            }
-            let (mut idx, info) = decode_index(cfg, vol, &bytes)?;
-            if idx.label() != e.label {
-                let msg = format!(
-                    "{}: label {:?} != manifest {:?}",
-                    e.file,
-                    idx.label(),
-                    e.label
-                );
-                idx.release(vol)?;
-                return Err(IndexError::Corrupt(msg));
-            }
+            let bytes = fetch(store, &e.file)?;
+            let (mut idx, info) = manifest.decode_image(cfg, vol, e, &bytes)?;
             // Replay the ingest log before installing the filter
             // sidecar: replay may rebuild the filter from metadata,
             // and the persisted sidecar (serialized from the logical
             // filter at commit) must win for fidelity.
-            if let Some(iref) = &e.ingest {
-                match load_ingest_log(store, iref) {
-                    Ok((deletes, pending_days, adds)) => {
-                        idx.replay_ingest(vol, &deletes, &pending_days, adds);
-                        vol.obs().counter("ingest.log_replays").inc();
-                    }
-                    Err(err) => {
-                        idx.release(vol)?;
-                        return Err(err);
+            let sidecars = (|| -> IndexResult<()> {
+                if let Some(iref) = &e.ingest {
+                    let (deletes, pending_days, adds) = load_ingest_log(store, &manifest, iref)?;
+                    idx.replay_ingest(vol, &deletes, &pending_days, adds);
+                    vol.obs().counter("ingest.log_replays").inc();
+                }
+                if let Some(fref) = &e.filter {
+                    // The strict loader verifies every referenced byte,
+                    // sidecars included; only recover() tolerates damage
+                    // (by rebuilding the filter from the image).
+                    let f = load_filter_sidecar(store, &manifest, fref)?;
+                    // Install only when this config runs filters: the
+                    // sidecar may carry stale bits from in-place
+                    // deletes that a fresh rebuild would not, and
+                    // callers that disabled filtering should not get a
+                    // filter smuggled back in.
+                    if cfg.filter.enabled {
+                        idx.install_filter(f);
                     }
                 }
+                Ok(())
+            })();
+            if let Err(err) = sidecars {
+                idx.release(vol)?;
+                return Err(err);
             }
-            if let Some(fref) = &e.filter {
-                // The strict loader verifies every referenced byte,
-                // sidecars included; only recover() tolerates damage
-                // (by rebuilding the filter from the image).
-                match load_filter_sidecar(store, fref) {
-                    Ok(f) => {
-                        // Install only when this config runs filters:
-                        // the sidecar may carry stale bits from
-                        // in-place deletes that a fresh rebuild would
-                        // not, and callers that disabled filtering
-                        // should not get a filter smuggled back in.
-                        if cfg.filter.enabled {
-                            idx.install_filter(f);
-                        }
-                    }
-                    Err(err) => {
-                        idx.release(vol)?;
-                        return Err(err);
-                    }
-                }
-            }
+            manifest.mark_durable(e, &idx);
             provenance.push(SlotProvenance {
                 slot: e.slot,
                 label: e.label.clone(),
@@ -847,66 +1073,40 @@ pub fn load_committed(
     }
 }
 
+/// Fetches a file the manifest references; absence is corruption.
+fn fetch(store: &mut dyn IndexStore, file: &str) -> IndexResult<Vec<u8>> {
+    store
+        .get(file)?
+        .ok_or_else(|| IndexError::Corrupt(format!("manifest references missing file {file}")))
+}
+
 /// Fetches a filter sidecar and verifies it against its manifest
-/// reference (exact length, whole-file CRC64) before decoding it
-/// (which re-verifies the sidecar's own embedded checksum).
+/// reference (exact length, checksum) while decoding it.
 pub(crate) fn load_filter_sidecar(
     store: &mut dyn IndexStore,
+    manifest: &Manifest,
     fref: &FilterRef,
 ) -> IndexResult<MembershipFilter> {
-    let bytes = store.get(&fref.file)?.ok_or_else(|| {
-        IndexError::Corrupt(format!("manifest references missing sidecar {}", fref.file))
-    })?;
-    if bytes.len() as u64 != fref.len {
-        return Err(IndexError::Corrupt(format!(
-            "{}: length {} != manifest {}",
-            fref.file,
-            bytes.len(),
-            fref.len
-        )));
+    let bytes = fetch(store, &fref.file)?;
+    match manifest.verify(&fref.file, fref.len, fref.crc64, &bytes)? {
+        Some(body) => MembershipFilter::from_body(body),
+        None => MembershipFilter::from_bytes(&bytes),
     }
-    let got = crc64(&bytes);
-    if got != fref.crc64 {
-        return Err(IndexError::ChecksumMismatch {
-            what: fref.file.clone(),
-            expected: fref.crc64,
-            got,
-        });
-    }
-    MembershipFilter::from_bytes(&bytes)
 }
 
 /// Fetches an ingest-log sidecar and verifies it against its manifest
-/// reference (exact length, whole-file CRC64) before decoding it
-/// (which re-verifies the log's own embedded checksum).
+/// reference (exact length, checksum) while decoding it.
 #[allow(clippy::type_complexity)]
 pub(crate) fn load_ingest_log(
     store: &mut dyn IndexStore,
+    manifest: &Manifest,
     iref: &IngestRef,
 ) -> IndexResult<(Vec<Day>, Vec<Day>, BTreeMap<SearchValue, Vec<Entry>>)> {
-    let bytes = store.get(&iref.file)?.ok_or_else(|| {
-        IndexError::Corrupt(format!(
-            "manifest references missing ingest log {}",
-            iref.file
-        ))
-    })?;
-    if bytes.len() as u64 != iref.len {
-        return Err(IndexError::Corrupt(format!(
-            "{}: length {} != manifest {}",
-            iref.file,
-            bytes.len(),
-            iref.len
-        )));
+    let bytes = fetch(store, &iref.file)?;
+    match manifest.verify(&iref.file, iref.len, iref.crc64, &bytes)? {
+        Some(body) => crate::ingest::IngestBuffer::decode_log_body(body),
+        None => crate::ingest::IngestBuffer::decode_log(&bytes),
     }
-    let got = crc64(&bytes);
-    if got != iref.crc64 {
-        return Err(IndexError::ChecksumMismatch {
-            what: iref.file.clone(),
-            expected: iref.crc64,
-            got,
-        });
-    }
-    crate::ingest::IngestBuffer::decode_log(&bytes)
 }
 
 fn write_bytes(out: &mut Vec<u8>, bytes: &[u8]) {
@@ -945,10 +1145,10 @@ impl<'a> Reader<'a> {
     }
 
     fn take(&mut self, n: usize) -> IndexResult<&'a [u8]> {
-        if self.pos + n > self.buf.len() {
-            return Err(IndexError::Corrupt("persistence image truncated".into()));
-        }
-        let out = &self.buf[self.pos..self.pos + n];
+        let end = self.pos.checked_add(n);
+        let out = end
+            .and_then(|end| self.buf.get(self.pos..end))
+            .ok_or_else(|| IndexError::Corrupt("persistence image truncated".into()))?;
         self.pos += n;
         Ok(out)
     }
@@ -1072,6 +1272,7 @@ mod tests {
     #[test]
     fn manifest_roundtrips_and_rejects_corruption() {
         let m = Manifest {
+            version: MANIFEST_VERSION,
             epoch: 7,
             window: Some((Day(3), Day(9))),
             slots: 4,
@@ -1120,6 +1321,7 @@ mod tests {
     #[test]
     fn empty_window_manifest_roundtrips() {
         let m = Manifest {
+            version: MANIFEST_VERSION_V1,
             epoch: 1,
             window: None,
             slots: 2,
@@ -1163,29 +1365,54 @@ mod tests {
     }
 
     #[test]
-    fn recommit_bumps_epoch_and_collects_old_files() {
+    fn recommit_carries_unchanged_files_and_collects_superseded_ones() {
         let mut vol = Volume::default();
         let mut wave = sample_wave(&mut vol);
         let mut store = FileStore::open_temp().unwrap();
         let retry = RetryPolicy::no_backoff(1);
         commit_wave(&wave, &mut vol, &mut store, &retry).unwrap();
+        let epoch1_names = store.list().unwrap();
+
+        // Nothing changed: the new epoch references epoch 1's files.
         let second = commit_wave(&wave, &mut vol, &mut store, &retry).unwrap();
-        assert_eq!(second.epoch, 2);
         assert_eq!(
-            second.orphans_removed, 4,
-            "epoch-1 files and their sidecars collected"
+            (second.epoch, second.files_written, second.files_reused),
+            (2, 0, 2)
         );
-        let names = store.list().unwrap();
+        assert_eq!((second.bytes_written, second.orphans_removed), (0, 0));
+        assert_eq!(store.list().unwrap(), epoch1_names);
+
+        // One constituent changes: only its files are written, and
+        // only the files it supersedes are collected.
+        let b3 = DayBatch::new(
+            Day(3),
+            vec![Record::with_values(RecordId(9), [SearchValue::from("war")])],
+        );
+        let touched = wave.slot_mut(2).unwrap();
+        touched.add_batches_in_place(&mut vol, &[&b3]).unwrap();
+        let third = commit_wave(&wave, &mut vol, &mut store, &retry).unwrap();
         assert_eq!(
-            names,
-            vec![
-                MANIFEST_NAME.to_string(),
-                "slot0.e2".to_string(),
-                "slot0.e2.filt".to_string(),
-                "slot2.e2".to_string(),
-                "slot2.e2.filt".to_string()
+            (third.epoch, third.files_written, third.files_reused),
+            (3, 1, 1)
+        );
+        assert_eq!(third.orphans_removed, 2, "slot2.e1 and its sidecar");
+        assert_eq!(
+            store.list().unwrap(),
+            [
+                MANIFEST_NAME,
+                "slot0.e1",
+                "slot0.e1.filt",
+                "slot2.e3",
+                "slot2.e3.filt"
             ]
         );
+        let mut vol2 = Volume::default();
+        let mut loaded = load_committed(IndexConfig::default(), &mut vol2, &mut store)
+            .unwrap()
+            .unwrap();
+        assert_eq!(loaded.manifest.images_carried(), 1);
+        assert_eq!(loaded.wave.entry_count(), wave.entry_count());
+        loaded.wave.release_all(&mut vol2).unwrap();
         wave.release_all(&mut vol).unwrap();
         store.destroy().unwrap();
     }

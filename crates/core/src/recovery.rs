@@ -47,13 +47,13 @@
 //! `recover.filter_rebuilds`, `recover.quarantines`,
 //! `recover.orphans_removed`.
 
-use wave_storage::{crc64, IndexStore, Obs, Volume};
+use wave_storage::{IndexStore, Obs, Volume};
 
 use crate::error::IndexResult;
 use crate::index::{ConstituentIndex, IndexConfig};
 use crate::persist::{
-    decode_index, index_to_bytes, load_filter_sidecar, FilterRef, LoadedWave, Manifest,
-    ManifestEntry, SlotProvenance, MANIFEST_NAME, QUARANTINE_SUFFIX,
+    index_to_bytes, load_filter_sidecar, FileRef, LoadedWave, Manifest, ManifestEntry,
+    SlotProvenance, MANIFEST_NAME, QUARANTINE_SUFFIX,
 };
 use crate::record::{DayArchive, DayBatch};
 use crate::wave::WaveIndex;
@@ -144,64 +144,59 @@ pub fn fsck(store: &mut dyn IndexStore, obs: &Obs) -> IndexResult<FsckReport> {
         }
     };
 
-    let mut referenced: Vec<&crate::persist::ManifestEntry> = Vec::new();
+    let mut referenced: Vec<&str> = Vec::new();
     if let Some(m) = &manifest {
-        referenced = m.entries.iter().collect();
-    }
-    for e in &referenced {
-        report.files_scanned += 1;
-        scanned.inc();
-        match store.get(&e.file)? {
-            None => report.missing.push(e.file.clone()),
-            Some(bytes) => {
-                if bytes.len() as u64 == e.len && crc64(&bytes) == e.crc64 {
-                    report.ok_files.push(e.file.clone());
-                } else {
+        // One CRC pass per file: `verify` proves the length, the
+        // file's own trailer and the manifest's checksum together.
+        let mut check = |file: &str,
+                         len: u64,
+                         crc: u64,
+                         [ok, corrupt, missing]: [&mut Vec<String>; 3]|
+         -> IndexResult<()> {
+            scanned.inc();
+            match store.get(file)? {
+                None => missing.push(file.to_string()),
+                Some(bytes) if m.verify(file, len, crc, &bytes).is_ok() => {
+                    ok.push(file.to_string())
+                }
+                Some(_) => {
                     failures.inc();
-                    report.corrupt.push(e.file.clone());
+                    corrupt.push(file.to_string());
                 }
             }
-        }
-        if let Some(f) = &e.filter {
-            report.files_scanned += 1;
-            scanned.inc();
-            match store.get(&f.file)? {
-                None => report.filter_missing.push(f.file.clone()),
-                Some(bytes) => {
-                    if bytes.len() as u64 == f.len && crc64(&bytes) == f.crc64 {
-                        report.filter_ok.push(f.file.clone());
-                    } else {
-                        failures.inc();
-                        report.filter_corrupt.push(f.file.clone());
-                    }
-                }
+            Ok(())
+        };
+        for e in &m.entries {
+            let r = &mut report;
+            check(
+                &e.file,
+                e.len,
+                e.crc64,
+                [&mut r.ok_files, &mut r.corrupt, &mut r.missing],
+            )?;
+            if let Some(f) = &e.filter {
+                let lists = [
+                    &mut r.filter_ok,
+                    &mut r.filter_corrupt,
+                    &mut r.filter_missing,
+                ];
+                check(&f.file, f.len, f.crc64, lists)?;
+            }
+            if let Some(l) = &e.ingest {
+                let lists = [
+                    &mut r.ingest_ok,
+                    &mut r.ingest_corrupt,
+                    &mut r.ingest_missing,
+                ];
+                check(&l.file, l.len, l.crc64, lists)?;
             }
         }
-        if let Some(l) = &e.ingest {
-            report.files_scanned += 1;
-            scanned.inc();
-            match store.get(&l.file)? {
-                None => report.ingest_missing.push(l.file.clone()),
-                Some(bytes) => {
-                    if bytes.len() as u64 == l.len && crc64(&bytes) == l.crc64 {
-                        report.ingest_ok.push(l.file.clone());
-                    } else {
-                        failures.inc();
-                        report.ingest_corrupt.push(l.file.clone());
-                    }
-                }
-            }
-        }
+        referenced = m.entries.iter().flat_map(ManifestEntry::files).collect();
+        report.files_scanned += referenced.len();
     }
 
     for name in store.list()? {
-        if name == MANIFEST_NAME
-            || referenced.iter().any(|e| {
-                e.file == name
-                    || e.filter.as_ref().is_some_and(|f| f.file == name)
-                    || e.ingest.as_ref().is_some_and(|l| l.file == name)
-            })
-        {
+        if name == MANIFEST_NAME || referenced.contains(&name.as_str()) {
             continue;
         }
         if name.ends_with(QUARANTINE_SUFFIX) {
@@ -343,104 +338,92 @@ fn recover_inner(
         // Every healthy path `continue`s (or `break`s on a hard
         // error), so the match yields the damage kind directly — no
         // placeholder `Option` to unwrap on the recovery path.
-        let damage: &str = match store.get(&entry.file) {
+        let damage: String = match store.get(&entry.file) {
             Err(e) => {
                 result = Err(e.into());
                 break;
             }
-            Ok(None) => "missing",
-            Ok(Some(bytes)) => {
-                if bytes.len() as u64 != entry.len || crc64(&bytes) != entry.crc64 {
-                    "corrupt"
-                } else {
-                    match decode_index(cfg, vol, &bytes) {
-                        Err(_) => "undecodable",
-                        Ok((idx, info)) if idx.label() != entry.label => {
-                            if let Err(e) = idx.release(vol) {
-                                result = Err(e);
-                                break;
+            Ok(None) => "missing".into(),
+            // Length, checksum (one CRC pass), decode, label.
+            Ok(Some(bytes)) => match manifest.decode_image(cfg, vol, &entry, &bytes) {
+                Err(e) => e.to_string(),
+                Ok((mut idx, info)) => {
+                    // Replay the ingest log before anything
+                    // else (mirroring the strict loader). A
+                    // damaged log is the opposite of a filter
+                    // sidecar: the buffered updates it holds
+                    // exist nowhere else on disk, so damage
+                    // here is constituent damage — quarantine
+                    // the log and fall through to the
+                    // rebuild-or-drop path below.
+                    let mut torn_log = None;
+                    if let Some(iref) = &entry.ingest {
+                        match crate::persist::load_ingest_log(store, &manifest, iref) {
+                            Ok((deletes, pending, adds)) => {
+                                idx.replay_ingest(vol, &deletes, &pending, adds);
+                                obs.counter("ingest.log_replays").inc();
                             }
-                            let _ = info;
-                            "mislabelled"
-                        }
-                        Ok((mut idx, info)) => {
-                            // Replay the ingest log before anything
-                            // else (mirroring the strict loader). A
-                            // damaged log is the opposite of a filter
-                            // sidecar: the buffered updates it holds
-                            // exist nowhere else on disk, so damage
-                            // here is constituent damage — quarantine
-                            // the log and fall through to the
-                            // rebuild-or-drop path below.
-                            let mut torn_log = None;
-                            if let Some(iref) = &entry.ingest {
-                                match crate::persist::load_ingest_log(store, iref) {
-                                    Ok((deletes, pending, adds)) => {
-                                        idx.replay_ingest(vol, &deletes, &pending, adds);
-                                        obs.counter("ingest.log_replays").inc();
-                                    }
-                                    Err(_) => torn_log = Some(iref.clone()),
-                                }
-                            }
-                            if let Some(iref) = torn_log {
-                                if let Err(e) = idx.release(vol) {
-                                    result = Err(e);
-                                    break;
-                                }
-                                entry.ingest = None;
-                                let quar = format!("{}{}", iref.file, QUARANTINE_SUFFIX);
-                                match store.rename(&iref.file, &quar) {
-                                    Ok(()) => {
-                                        quarantines.inc();
-                                        report.quarantined.push(quar);
-                                    }
-                                    Err(wave_storage::StorageError::FileNotFound(_)) => {}
-                                    Err(e) => {
-                                        result = Err(e.into());
-                                        break;
-                                    }
-                                }
-                                "ingest_torn"
-                            } else {
-                                // The constituent is healthy; its filter
-                                // sidecar may not be. Repair is cheap and
-                                // lossless (the filter is derived data),
-                                // so it never quarantines or drops.
-                                match repair_sidecar(cfg, store, &mut entry, &mut idx) {
-                                    Ok(SidecarFix::Intact) => {}
-                                    Ok(SidecarFix::Rebuilt(name)) => {
-                                        manifest_dirty = true;
-                                        filter_rebuilds.inc();
-                                        obs.event(
-                                            "recover.filter_rebuild",
-                                            wave_obs::fields![("file", name.as_str())],
-                                        );
-                                        report.rebuilt_filters.push(name);
-                                    }
-                                    Ok(SidecarFix::Dropped) => manifest_dirty = true,
-                                    Err(e) => {
-                                        if let Err(e2) = idx.release(vol) {
-                                            result = Err(e2);
-                                        } else {
-                                            result = Err(e);
-                                        }
-                                        break;
-                                    }
-                                }
-                                provenance.push(SlotProvenance {
-                                    slot: entry.slot,
-                                    label: entry.label.clone(),
-                                    version: info.version,
-                                    verified: info.verified,
-                                });
-                                wave.install(entry.slot, idx);
-                                kept.push(entry);
-                                continue;
-                            }
+                            Err(_) => torn_log = Some(iref.clone()),
                         }
                     }
+                    if let Some(iref) = torn_log {
+                        if let Err(e) = idx.release(vol) {
+                            result = Err(e);
+                            break;
+                        }
+                        entry.ingest = None;
+                        let quar = format!("{}{}", iref.file, QUARANTINE_SUFFIX);
+                        match store.rename(&iref.file, &quar) {
+                            Ok(()) => {
+                                quarantines.inc();
+                                report.quarantined.push(quar);
+                            }
+                            Err(wave_storage::StorageError::FileNotFound(_)) => {}
+                            Err(e) => {
+                                result = Err(e.into());
+                                break;
+                            }
+                        }
+                        "ingest log torn".into()
+                    } else {
+                        // The constituent is healthy; its filter
+                        // sidecar may not be. Repair is cheap and
+                        // lossless (the filter is derived data),
+                        // so it never quarantines or drops.
+                        match repair_sidecar(cfg, store, &manifest, &mut entry, &mut idx) {
+                            Ok(SidecarFix::Intact) => {}
+                            Ok(SidecarFix::Rebuilt(name)) => {
+                                manifest_dirty = true;
+                                filter_rebuilds.inc();
+                                obs.event(
+                                    "recover.filter_rebuild",
+                                    wave_obs::fields![("file", name.as_str())],
+                                );
+                                report.rebuilt_filters.push(name);
+                            }
+                            Ok(SidecarFix::Dropped) => manifest_dirty = true,
+                            Err(e) => {
+                                if let Err(e2) = idx.release(vol) {
+                                    result = Err(e2);
+                                } else {
+                                    result = Err(e);
+                                }
+                                break;
+                            }
+                        }
+                        provenance.push(SlotProvenance {
+                            slot: entry.slot,
+                            label: entry.label.clone(),
+                            version: info.version,
+                            verified: info.verified,
+                        });
+                        manifest.mark_durable(&entry, &idx);
+                        wave.install(entry.slot, idx);
+                        kept.push(entry);
+                        continue;
+                    }
                 }
-            }
+            },
         };
 
         // Quarantine whatever bytes exist before touching the slot.
@@ -474,8 +457,8 @@ fn recover_inner(
                         ConstituentIndex::build_packed(entry.label.clone(), cfg, vol, &batches)?;
                     let image = index_to_bytes(&idx, vol)?;
                     store.put(&entry.file, &image)?;
-                    entry.len = image.len() as u64;
-                    entry.crc64 = crc64(&image);
+                    let image = FileRef::of(manifest.version, entry.file.clone(), &image)?;
+                    (entry.len, entry.crc64) = (image.len, image.crc64);
                     // The rebuilt constituent gets a rebuilt sidecar:
                     // the old one (if any) described the old image.
                     entry.filter = match idx.membership_filter() {
@@ -483,11 +466,7 @@ fn recover_inner(
                             let sidecar = f.to_bytes();
                             let name = format!("{}.filt", entry.file);
                             store.put(&name, &sidecar)?;
-                            Some(FilterRef {
-                                file: name,
-                                len: sidecar.len() as u64,
-                                crc64: crc64(&sidecar),
-                            })
+                            Some(FileRef::of(manifest.version, name, &sidecar)?)
                         }
                         None => None,
                     };
@@ -502,7 +481,10 @@ fn recover_inner(
                         rebuilds.inc();
                         obs.event(
                             "recover.rebuild",
-                            wave_obs::fields![("file", entry.file.as_str()), ("damage", damage)],
+                            wave_obs::fields![
+                                ("file", entry.file.as_str()),
+                                ("damage", damage.as_str())
+                            ],
                         );
                         report.rebuilt.push(entry.file.clone());
                         provenance.push(SlotProvenance {
@@ -511,6 +493,7 @@ fn recover_inner(
                             version: crate::persist::VERSION,
                             verified: true,
                         });
+                        manifest.mark_durable(&entry, &idx);
                         wave.install(entry.slot, idx);
                         kept.push(entry);
                     }
@@ -523,7 +506,7 @@ fn recover_inner(
             _ => {
                 obs.event(
                     "recover.drop_slot",
-                    wave_obs::fields![("slot", entry.slot as u64), ("damage", damage)],
+                    wave_obs::fields![("slot", entry.slot as u64), ("damage", damage.as_str())],
                 );
                 report.dropped_slots.push(entry.slot);
             }
@@ -553,11 +536,10 @@ fn recover_inner(
     for name in store.list()? {
         if name == MANIFEST_NAME
             || name.ends_with(QUARANTINE_SUFFIX)
-            || manifest.entries.iter().any(|e| {
-                e.file == name
-                    || e.filter.as_ref().is_some_and(|f| f.file == name)
-                    || e.ingest.as_ref().is_some_and(|l| l.file == name)
-            })
+            || manifest
+                .entries
+                .iter()
+                .any(|e| e.files().any(|f| f == name))
         {
             continue;
         }
@@ -606,13 +588,14 @@ enum SidecarFix {
 fn repair_sidecar(
     cfg: IndexConfig,
     store: &mut dyn IndexStore,
+    manifest: &Manifest,
     entry: &mut ManifestEntry,
     idx: &mut ConstituentIndex,
 ) -> IndexResult<SidecarFix> {
     let Some(fref) = entry.filter.clone() else {
         return Ok(SidecarFix::Intact);
     };
-    if let Ok(f) = load_filter_sidecar(store, &fref) {
+    if let Ok(f) = load_filter_sidecar(store, manifest, &fref) {
         if cfg.filter.enabled {
             idx.install_filter(f);
         }
@@ -622,11 +605,7 @@ fn repair_sidecar(
         Some(f) => {
             let sidecar = f.to_bytes();
             store.put(&fref.file, &sidecar)?;
-            entry.filter = Some(FilterRef {
-                file: fref.file.clone(),
-                len: sidecar.len() as u64,
-                crc64: crc64(&sidecar),
-            });
+            entry.filter = Some(FileRef::of(manifest.version, fref.file.clone(), &sidecar)?);
             Ok(SidecarFix::Rebuilt(fref.file))
         }
         None => {

@@ -199,10 +199,11 @@ fn explore_commit(
 }
 
 /// The explorer proper: every scheme × technique, crashes at every
-/// operation of (a) the very first commit and (b) a recommit after a
-/// further transition, in all three crash modes.
+/// operation of (a) the very first commit and (b) the second and third
+/// commits, each after a further transition, in all three crash modes.
 #[test]
 fn every_crash_point_recovers_to_pre_or_post_state() {
+    let mut carried_files = 0;
     for kind in SchemeKind::ALL {
         for technique in techniques() {
             let n = kind.min_fan().max(3);
@@ -246,42 +247,49 @@ fn every_crash_point_recovers_to_pre_or_post_state() {
             assert!(a > 0, "{ctx}: phase A explored no crash points");
             fs::remove_dir_all(&empty).unwrap();
 
-            // Establish epoch 1 on disk, advance the in-memory wave one
-            // more day, then crash the epoch-2 commit everywhere.
+            // Establish epoch 1 on disk, then twice: advance the
+            // in-memory wave one more day, crash the next commit
+            // everywhere, and commit it for real. The second and third
+            // commits carry unchanged constituents' files over from
+            // earlier epochs, so every crash point must also leave each
+            // carried file in place — referenced by whichever manifest
+            // survives, never swept as an orphan.
             let base = scratch_dir("base");
             if base.exists() {
                 fs::remove_dir_all(&base).unwrap();
             }
             let mut base_store = FileStore::open(&base).unwrap();
-            commit_wave(
-                scheme.wave(),
-                &mut vol,
-                &mut base_store,
-                &RetryPolicy::no_backoff(1),
-            )
-            .unwrap();
-            let d = W + 3;
-            let b = day_batch(d);
-            oracle.insert(&b);
-            archive.insert(b);
-            scheme.transition(&mut vol, &archive, Day(d)).unwrap();
-            let b = explore_commit(
-                IndexConfig::default(),
-                scheme.as_ref(),
-                &mut vol,
-                &oracle,
-                &archive,
-                &base,
-                false,
-                &format!("{ctx} recommit"),
-            );
-            assert!(b > 0, "{ctx}: phase B explored no crash points");
+            let retry = RetryPolicy::no_backoff(1);
+            commit_wave(scheme.wave(), &mut vol, &mut base_store, &retry).unwrap();
+            for (d, which) in [(W + 3, "second-commit"), (W + 4, "third-commit")] {
+                let b = day_batch(d);
+                oracle.insert(&b);
+                archive.insert(b);
+                scheme.transition(&mut vol, &archive, Day(d)).unwrap();
+                let b = explore_commit(
+                    IndexConfig::default(),
+                    scheme.as_ref(),
+                    &mut vol,
+                    &oracle,
+                    &archive,
+                    &base,
+                    false,
+                    &format!("{ctx} {which}"),
+                );
+                assert!(b > 0, "{ctx}: {which} explored no crash points");
+                let report = commit_wave(scheme.wave(), &mut vol, &mut base_store, &retry).unwrap();
+                carried_files += report.files_reused;
+            }
             fs::remove_dir_all(&base).unwrap();
 
             scheme.release(&mut vol).unwrap();
             assert_eq!(vol.live_blocks(), 0, "{ctx}: scheme leaked blocks");
         }
     }
+    assert!(
+        carried_files > 0,
+        "no explored commit carried a file across epochs"
+    );
 }
 
 /// The same explorer with the buffered ingest tier on: thresholds are

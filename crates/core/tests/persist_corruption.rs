@@ -9,7 +9,7 @@
 use std::path::PathBuf;
 
 use wave_index::persist::{
-    decode_index, index_to_bytes, FilterRef, IngestRef, Manifest, ManifestEntry,
+    decode_index, index_to_bytes, FilterRef, IngestRef, Manifest, ManifestEntry, MANIFEST_VERSION,
 };
 use wave_index::prelude::*;
 use wave_index::IndexError;
@@ -161,6 +161,7 @@ fn bit_flip_sweep_yields_typed_errors() {
 #[test]
 fn manifest_corruption_sweep() {
     let manifest = Manifest {
+        version: MANIFEST_VERSION,
         epoch: 42,
         window: Some((Day(17), Day(23))),
         slots: 3,

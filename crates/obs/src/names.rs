@@ -33,7 +33,9 @@ pub const COUNTERS: &[&str] = &[
     "ingest.log_writes",
     "ingest.spilled_entries",
     "ingest.spills",
+    "persist.bytes_written",
     "persist.commits",
+    "persist.files_reused",
     "recover.filter_rebuilds",
     "recover.orphans_removed",
     "recover.quarantines",

@@ -66,7 +66,7 @@ pub use alloc::ExtentAllocator;
 pub use array::DiskArray;
 pub use block::{BlockAddr, Extent, BLOCK_SIZE};
 pub use cache::BlockCache;
-pub use checksum::{crc64, Crc64};
+pub use checksum::{crc64, split_trailer, Crc64};
 pub use disk::{DiskConfig, SimDisk};
 pub use error::{StorageError, StorageResult};
 pub use fault::{CrashMode, FaultPlan, FaultyStore};
