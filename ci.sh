@@ -77,6 +77,12 @@ echo "==> I/O scheduler property tests"
 cargo test -q -p wave-storage --offline sched::
 echo "==> batched query equivalence"
 cargo test -q -p wave-index --offline query_batch
+# Every reader (WaveIndex, parallel, SharedWave, WaveServer on 1 and
+# 3+1 arms) against an index-free model on random dirty waves, plus
+# the pruning-counts-once-under-retry regression; named so a filter
+# can never skip it.
+echo "==> read path: every reader matches the model"
+cargo test -q -p wave-index --test read_path --offline
 
 echo "==> bench-batch --smoke"
 cargo run -q --release --offline -p wavectl -- bench-batch --smoke \

@@ -14,9 +14,10 @@ use crate::entry::Entry;
 use crate::error::{IndexError, IndexResult};
 use crate::index::ConstituentIndex;
 use crate::query::TimeRange;
+use crate::read::{self, Read};
 use crate::record::SearchValue;
 use crate::wave::{QueryResult, WaveIndex};
-use wave_obs::{Counter, Obs, Span, TraceCtx};
+use wave_obs::{Counter, Obs, Span};
 use wave_storage::{RetryPolicy, Volume};
 
 /// A wave index shareable across threads.
@@ -37,9 +38,7 @@ pub struct SharedWave {
     /// without taking the volume mutex first.
     obs: Obs,
     /// Bounded retry applied to the transient-error class on the
-    /// serving read paths (probe, scan, batched queries). Transient
-    /// failures are retried inside the same volume critical section,
-    /// so retries never widen the window in which swaps can interleave.
+    /// serving read paths (probe, scan, batched queries).
     retry: RetryPolicy,
     /// `shared.read_retries` — transient read errors absorbed by retry.
     retries: Counter,
@@ -113,78 +112,49 @@ impl SharedWave {
     /// constituent access, so concurrent readers interleave their
     /// disk requests instead of serialising whole queries.
     pub fn probe(&self, value: &SearchValue, range: TimeRange) -> IndexResult<Vec<Entry>> {
-        self.probe_paced(value, range, || {})
-    }
-
-    /// [`Self::probe`] with a hook called between per-constituent
-    /// volume critical sections, while no volume lock is held. The
-    /// hook exists so tests can prove another reader's entire query
-    /// fits inside the gap.
-    fn probe_paced(
-        &self,
-        value: &SearchValue,
-        range: TimeRange,
-        mut between: impl FnMut(),
-    ) -> IndexResult<Vec<Entry>> {
-        let mut span = self.obs.root_span("shared.probe", &[]);
-        let mut busy = 0.0f64;
-        let result = (|| -> IndexResult<Vec<Entry>> {
-            let wave = self.wave_read()?;
-            let mut entries = Vec::new();
-            let mut first = true;
-            for (_, idx) in wave.iter() {
-                let Some((lo, hi)) = idx.day_span() else {
-                    continue;
-                };
-                if !range.intersects_span(lo, hi) {
-                    continue;
-                }
-                if !first {
-                    between();
-                }
-                first = false;
-                let mut vol = self.vol_lock()?;
-                let before = vol.stats();
-                entries.extend(self.retry.run_where(
-                    &self.retries,
-                    IndexError::is_transient,
-                    || idx.probe_in(&mut vol, value, range),
-                )?);
-                busy += vol.stats().since(&before).sim_seconds;
-            }
-            Ok(entries)
-        })();
-        self.finish(&mut span, "shared.probe", busy, &result);
-        result
+        self.read_paced(Read::Probe(value), range, || {})
     }
 
     /// `TimedSegmentScan` under a read lock, with the same narrow
     /// per-constituent volume critical section as [`Self::probe`].
     pub fn scan(&self, range: TimeRange) -> IndexResult<Vec<Entry>> {
-        let mut span = self.obs.root_span("shared.scan", &[]);
+        self.read_paced(Read::Scan, range, || {})
+    }
+
+    /// The per-constituent loop behind [`Self::probe`] and
+    /// [`Self::scan`]. `between` is called between two volume critical
+    /// sections, while no volume lock is held; it exists so tests can
+    /// prove another reader's entire query fits inside the gap.
+    fn read_paced(
+        &self,
+        what: Read<'_>,
+        range: TimeRange,
+        mut between: impl FnMut(),
+    ) -> IndexResult<Vec<Entry>> {
+        let (op, mut span) = match what {
+            Read::Probe(_) => ("shared.probe", self.obs.root_span("shared.probe", &[])),
+            Read::Scan => ("shared.scan", self.obs.root_span("shared.scan", &[])),
+        };
         let mut busy = 0.0f64;
         let result = (|| -> IndexResult<Vec<Entry>> {
             let wave = self.wave_read()?;
             let mut entries = Vec::new();
-            for (_, idx) in wave.iter() {
-                let Some((lo, hi)) = idx.day_span() else {
-                    continue;
-                };
-                if !range.intersects_span(lo, hi) {
-                    continue;
+            for (i, (_, idx)) in read::select(wave.iter(), range).enumerate() {
+                if i > 0 {
+                    between();
                 }
                 let mut vol = self.vol_lock()?;
                 let before = vol.stats();
-                entries.extend(self.retry.run_where(
-                    &self.retries,
-                    IndexError::is_transient,
-                    || idx.scan_in(&mut vol, range),
-                )?);
+                // Transient failures are retried inside the same volume
+                // critical section, so retries never widen the window in
+                // which swaps can interleave.
+                let retry = Some((&self.retry, &self.retries));
+                entries.extend(read::read_slot(idx, &mut vol, what, range, retry)?);
                 busy += vol.stats().since(&before).sim_seconds;
             }
             Ok(entries)
         })();
-        self.finish(&mut span, "shared.scan", busy, &result);
+        self.finish(&mut span, op, busy, &result);
         result
     }
 
@@ -207,18 +177,10 @@ impl SharedWave {
         let result = (|| -> IndexResult<Vec<QueryResult>> {
             let wave = self.wave_read()?;
             let mut vol = self.vol_lock()?;
-            // The scheduler pass inside `query_batch` picks the context
-            // up off the volume; scoped to this critical section so
-            // other readers' batches stay unattributed.
-            vol.set_trace_ctx(ctx);
             let before = vol.stats();
-            let result = self
-                .retry
-                .run_where(&self.retries, IndexError::is_transient, || {
-                    wave.query_batch(&mut vol, values, range)
-                });
+            let retry = Some((&self.retry, &self.retries));
+            let result = wave.query_batch_under(&mut vol, values, range, ctx, retry);
             busy = vol.stats().since(&before).sim_seconds;
-            vol.set_trace_ctx(TraceCtx::NONE);
             result
         })();
         self.finish(&mut span, "shared.query_batch", busy, &result);
@@ -309,17 +271,21 @@ mod tests {
 
         let mut gaps = 0;
         let hits = shared
-            .probe_paced(&SearchValue::from("k"), TimeRange::all(), || {
-                gaps += 1;
-                go_tx.send(()).unwrap();
-                // If the volume lock still spanned the whole query, B
-                // would block behind A here and this recv would time
-                // out instead of observing B's completed probe.
-                let b_hits = done_rx
-                    .recv_timeout(std::time::Duration::from_secs(10))
-                    .expect("reader B must finish while A is mid-query");
-                assert_eq!(b_hits, 10, "B sees both constituents");
-            })
+            .read_paced(
+                Read::Probe(&SearchValue::from("k")),
+                TimeRange::all(),
+                || {
+                    gaps += 1;
+                    go_tx.send(()).unwrap();
+                    // If the volume lock still spanned the whole query, B
+                    // would block behind A here and this recv would time
+                    // out instead of observing B's completed probe.
+                    let b_hits = done_rx
+                        .recv_timeout(std::time::Duration::from_secs(10))
+                        .expect("reader B must finish while A is mid-query");
+                    assert_eq!(b_hits, 10, "B sees both constituents");
+                },
+            )
             .unwrap();
         assert_eq!(gaps, 1, "two constituents probed, one gap between");
         assert_eq!(hits.len(), 10);

@@ -28,6 +28,7 @@ use crate::filter::{FilterConfig, MembershipFilter};
 use crate::ingest::{IngestBuffer, IngestConfig};
 use crate::persist::DurableFiles;
 use crate::query::TimeRange;
+use crate::read::{self, Read};
 use crate::record::{Day, DayBatch, SearchValue};
 
 /// Configuration of a constituent index.
@@ -632,21 +633,13 @@ impl ConstituentIndex {
     /// [`ConstituentIndex::prune_probe`]); the answer is byte-identical
     /// to an unfiltered probe, only the I/O differs.
     pub fn probe(&self, vol: &mut Volume, value: &SearchValue) -> IndexResult<Vec<Entry>> {
-        match self.prune_probe(vol, value) {
-            ProbeOutcome::Skipped | ProbeOutcome::Absent => Ok(Vec::new()),
-            ProbeOutcome::Covered(entries) => Ok(entries),
-            ProbeOutcome::Bucket(bucket) => {
-                let entries = self.read_bucket(vol, &bucket)?;
-                Ok(self.ingest.overlay(value, entries))
-            }
-        }
+        self.probe_in(vol, value, TimeRange::all())
     }
 
     /// Resolves a probe as far as it can go without bucket I/O:
     /// membership filter, then covering set, then directory. This is
-    /// the single pruning decision shared by [`ConstituentIndex::
-    /// probe`] and the batched paths (`WaveIndex::query_batch`, the
-    /// server's arm workers), so every path skips and covers
+    /// the single pruning decision of the read path (`read.rs`), so a
+    /// solo probe, a batch and the server's arm workers skip and cover
     /// identically. Increments the `filter.*` counters.
     pub fn prune_probe(&self, vol: &Volume, value: &SearchValue) -> ProbeOutcome {
         if let Some(filter) = &self.filter {
@@ -689,16 +682,15 @@ impl ConstituentIndex {
     }
 
     /// `TimedIndexProbe` on this constituent: entries for `value`
-    /// inserted within `range`.
+    /// inserted within `range` — prune, fetch the bucket, overlay the
+    /// ingest buffer, retain the range (the crate's one read path).
     pub fn probe_in(
         &self,
         vol: &mut Volume,
         value: &SearchValue,
         range: TimeRange,
     ) -> IndexResult<Vec<Entry>> {
-        let mut entries = self.probe(vol, value)?;
-        entries.retain(|e| range.contains(e.day));
-        Ok(entries)
+        read::read_slot(self, vol, Read::Probe(value), range, None)
     }
 
     /// `SegmentScan` on this constituent: every entry, reading the
@@ -1101,9 +1093,9 @@ impl ConstituentIndex {
 
     /// Applies the ingest buffer's overlay to a raw bucket read:
     /// pending-deleted days filtered out, pending adds appended. The
-    /// batched query paths call this on every `ProbeOutcome::Bucket`
-    /// read so buffered results stay byte-identical to the unbuffered
-    /// path. A no-op when the buffer is empty.
+    /// read path calls this on every `ProbeOutcome::Bucket` it fetches
+    /// so buffered results stay byte-identical to the unbuffered path.
+    /// A no-op when the buffer is empty.
     pub fn overlay_pending(&self, value: &SearchValue, entries: Vec<Entry>) -> Vec<Entry> {
         self.ingest.overlay(value, entries)
     }

@@ -66,6 +66,7 @@ pub mod ingest;
 pub mod parallel;
 pub mod persist;
 pub mod query;
+mod read;
 pub mod record;
 pub mod recovery;
 pub mod schemes;

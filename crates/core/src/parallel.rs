@@ -16,6 +16,7 @@ use wave_storage::Volume;
 use crate::entry::Entry;
 use crate::error::IndexResult;
 use crate::query::TimeRange;
+use crate::read::{self, Read};
 use crate::record::SearchValue;
 use crate::wave::WaveIndex;
 
@@ -189,6 +190,24 @@ impl DetailedQuery {
     }
 }
 
+/// Reads the selected constituents one by one, timing each on the
+/// simulated device.
+fn read_detailed(
+    wave: &WaveIndex,
+    vol: &mut Volume,
+    what: Read<'_>,
+    range: TimeRange,
+) -> IndexResult<DetailedQuery> {
+    let mut entries = Vec::new();
+    let mut per_slot = Vec::new();
+    for (slot, idx) in read::select(wave.iter(), range) {
+        let before = vol.stats();
+        entries.extend(read::read_slot(idx, vol, what, range, None)?);
+        per_slot.push((slot, vol.stats().since(&before).sim_seconds));
+    }
+    Ok(DetailedQuery { entries, per_slot })
+}
+
 /// `TimedIndexProbe` with per-constituent timing.
 pub fn probe_detailed(
     wave: &WaveIndex,
@@ -196,20 +215,7 @@ pub fn probe_detailed(
     value: &SearchValue,
     range: TimeRange,
 ) -> IndexResult<DetailedQuery> {
-    let mut entries = Vec::new();
-    let mut per_slot = Vec::new();
-    for (slot, idx) in wave.iter() {
-        let Some((lo, hi)) = idx.day_span() else {
-            continue;
-        };
-        if !range.intersects_span(lo, hi) {
-            continue;
-        }
-        let before = vol.stats();
-        entries.extend(idx.probe_in(vol, value, range)?);
-        per_slot.push((slot, vol.stats().since(&before).sim_seconds));
-    }
-    Ok(DetailedQuery { entries, per_slot })
+    read_detailed(wave, vol, Read::Probe(value), range)
 }
 
 /// `TimedSegmentScan` with per-constituent timing.
@@ -218,20 +224,7 @@ pub fn scan_detailed(
     vol: &mut Volume,
     range: TimeRange,
 ) -> IndexResult<DetailedQuery> {
-    let mut entries = Vec::new();
-    let mut per_slot = Vec::new();
-    for (slot, idx) in wave.iter() {
-        let Some((lo, hi)) = idx.day_span() else {
-            continue;
-        };
-        if !range.intersects_span(lo, hi) {
-            continue;
-        }
-        let before = vol.stats();
-        entries.extend(idx.scan_in(vol, range)?);
-        per_slot.push((slot, vol.stats().since(&before).sim_seconds));
-    }
-    Ok(DetailedQuery { entries, per_slot })
+    read_detailed(wave, vol, Read::Scan, range)
 }
 
 #[cfg(test)]

@@ -67,23 +67,23 @@
 //! and checks every completed answer against a single-threaded
 //! oracle.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
 use std::sync::mpsc::{channel, Receiver, SendError, Sender};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError, RwLock, RwLockReadGuard, RwLockWriteGuard};
 use std::thread::JoinHandle;
 
 use wave_obs::{fields, Counter, Gauge, Obs, TraceCtx};
-use wave_storage::{DiskArray, IoScheduler, ReadRequest, RetryPolicy, StatsDelta, Volume};
+use wave_storage::{DiskArray, RetryPolicy, StatsDelta, Volume};
 
-use crate::entry::{Entry, ENTRY_BYTES};
+use crate::entry::Entry;
 use crate::error::{IndexError, IndexResult};
 use crate::filter::MembershipFilter;
-use crate::index::{ConstituentIndex, IndexConfig, ProbeOutcome};
+use crate::index::{ConstituentIndex, IndexConfig};
 use crate::parallel::{ArmMap, PlacementStrategy};
 use crate::query::TimeRange;
+use crate::read::{self, Read, Retry};
 use crate::record::{Day, DayBatch, SearchValue};
-use crate::wave::BatchHit;
 
 /// Server construction options.
 #[derive(Debug, Clone, Copy, Default)]
@@ -165,6 +165,20 @@ pub struct ServerQuery {
     /// `Some` when degraded reads answered without one or more arms:
     /// the listed slots are missing, everything else is exact.
     pub partial: Option<PartialAnswer>,
+}
+
+impl From<ServerBatchQuery> for ServerQuery {
+    /// A probe or a scan is a fan-out with one column.
+    fn from(q: ServerBatchQuery) -> Self {
+        ServerQuery {
+            entries: q.per_value.into_iter().next().unwrap_or_default(),
+            indexes_accessed: q.indexes_accessed,
+            elapsed_seconds: q.elapsed_seconds,
+            serial_seconds: q.serial_seconds,
+            per_arm_seconds: q.per_arm_seconds,
+            partial: q.partial,
+        }
+    }
 }
 
 impl ServerQuery {
@@ -325,19 +339,41 @@ impl Breaker {
     }
 }
 
-/// What an arm sends back for a query request.
-struct ArmAnswer {
-    arm: usize,
-    /// `(slot, entries)` for each intersecting constituent.
-    per_slot: Vec<(usize, Vec<Entry>)>,
-    io: StatsDelta,
+/// What a query asks of every arm. A probe and a one-value batch
+/// return the same entries but differ in device schedule — the probe
+/// reads through the cache, the batch in one bypassing sweep — so they
+/// stay distinct operations.
+#[derive(Clone)]
+enum ReadOp {
+    Probe(SearchValue),
+    Scan,
+    Batch(Vec<SearchValue>),
 }
 
-/// What an arm sends back for a batched probe request: for each
-/// intersecting slot, one entry list **per queried value** (indexed
-/// like the submitted value list).
-struct ArmBatchAnswer {
-    arm: usize,
+impl ReadOp {
+    /// The probed values; `None` for a scan, which reads everything.
+    fn values(&self) -> Option<&[SearchValue]> {
+        match self {
+            ReadOp::Probe(value) => Some(std::slice::from_ref(value)),
+            ReadOp::Scan => None,
+            ReadOp::Batch(values) => Some(values),
+        }
+    }
+
+    /// Name of the per-arm child span.
+    fn arm_span(&self) -> &'static str {
+        match self {
+            ReadOp::Probe(_) => "arm.probe",
+            ReadOp::Scan => "arm.scan",
+            ReadOp::Batch(_) => "arm.batch",
+        }
+    }
+}
+
+/// What an arm sends back for a read request: for each intersecting
+/// slot, one entry list per column — one column per queried value of
+/// a batch, a single column for a probe or a scan.
+struct ArmAnswer {
     per_slot: Vec<(usize, Vec<Vec<Entry>>)>,
     io: StatsDelta,
 }
@@ -354,22 +390,11 @@ struct BuildDone {
 }
 
 enum ArmRequest {
-    Probe {
-        value: SearchValue,
+    Read {
+        what: ReadOp,
         range: TimeRange,
         ctx: TraceCtx,
         reply: Sender<IndexResult<ArmAnswer>>,
-    },
-    Scan {
-        range: TimeRange,
-        ctx: TraceCtx,
-        reply: Sender<IndexResult<ArmAnswer>>,
-    },
-    ProbeBatch {
-        values: Vec<SearchValue>,
-        range: TimeRange,
-        ctx: TraceCtx,
-        reply: Sender<IndexResult<ArmBatchAnswer>>,
     },
     Build {
         slot: usize,
@@ -447,123 +472,31 @@ impl ArmState {
         result
     }
 
-    fn answer_query(
-        &mut self,
-        probe: Option<(&SearchValue, TimeRange)>,
-        scan_range: TimeRange,
-    ) -> IndexResult<ArmAnswer> {
-        let ArmState {
-            arm,
-            vol,
-            slots,
-            retry,
-            retries,
-            ..
-        } = self;
+    /// Answers one read over the slots this arm owns, through the
+    /// crate's one read path ([`read`]): a batch takes at most one
+    /// scheduled I/O sweep of the arm under `ctx`, a probe or a scan
+    /// reads constituent by constituent. Transient device errors are
+    /// retried under the arm's policy.
+    fn answer(&mut self, what: &ReadOp, range: TimeRange, ctx: TraceCtx) -> IndexResult<ArmAnswer> {
+        let retry = Some((&self.retry, &self.retries));
+        let vol = &mut self.vol;
         let before = vol.stats();
-        let mut per_slot = Vec::new();
-        for (&slot, idx) in slots.iter() {
-            let Some((lo, hi)) = idx.day_span() else {
-                continue;
-            };
-            let range = probe.map_or(scan_range, |(_, r)| r);
-            if !range.intersects_span(lo, hi) {
-                continue;
+        let selected = read::select(self.slots.iter().map(|(&slot, idx)| (slot, idx)), range);
+        let per_slot = match what {
+            ReadOp::Batch(values) => {
+                // Answers arrive in slot-then-value order: a new slot
+                // opens a new row, its values fill the columns.
+                let mut per_slot: Vec<(usize, Vec<Vec<Entry>>)> = Vec::new();
+                let emit = |slot, _, entries| match per_slot.last_mut() {
+                    Some((last, columns)) if *last == slot => columns.push(entries),
+                    _ => per_slot.push((slot, vec![entries])),
+                };
+                read::read_batch(selected, vol, values, range, ctx, retry, emit).map(|_| per_slot)
             }
-            // Per-constituent reads are pure, so a transient failure
-            // mid-read retries the whole constituent safely.
-            let entries = match probe {
-                Some((value, r)) => retry.run_where(retries, IndexError::is_transient, || {
-                    idx.probe_in(&mut *vol, value, r)
-                })?,
-                None => retry.run_where(retries, IndexError::is_transient, || {
-                    idx.scan_in(&mut *vol, scan_range)
-                })?,
-            };
-            per_slot.push((slot, entries));
-        }
+            ReadOp::Probe(value) => one_by_one(selected, vol, Read::Probe(value), range, retry),
+            ReadOp::Scan => one_by_one(selected, vol, Read::Scan, range, retry),
+        }?;
         Ok(ArmAnswer {
-            arm: *arm,
-            per_slot,
-            io: vol.stats().since(&before),
-        })
-    }
-
-    /// Answers a batch of probes with at most one scheduled I/O pass:
-    /// every `(slot, value)` bucket on this arm is resolved through
-    /// the in-memory directories first, then all bucket reads go to
-    /// [`IoScheduler::read_batch`] together so adjacent buckets merge
-    /// and the head sweeps the arm once.
-    fn answer_batch(
-        &mut self,
-        values: &[SearchValue],
-        range: TimeRange,
-        ctx: TraceCtx,
-    ) -> IndexResult<ArmBatchAnswer> {
-        let ArmState {
-            arm,
-            vol,
-            slots,
-            retry,
-            retries,
-            ..
-        } = self;
-        let before = vol.stats();
-        let mut per_slot: Vec<(usize, Vec<Vec<Entry>>)> = Vec::new();
-        let mut requests = Vec::new();
-        // (position in per_slot, value index, constituent, value,
-        // pruned hit) per hit; the constituent and value ride along so
-        // bucket reads can apply the ingest overlay at resolve time.
-        #[allow(clippy::type_complexity)]
-        let mut hits: Vec<(usize, usize, &ConstituentIndex, &SearchValue, BatchHit)> = Vec::new();
-        for (&slot, idx) in slots.iter() {
-            let Some((lo, hi)) = idx.day_span() else {
-                continue;
-            };
-            if !range.intersects_span(lo, hi) {
-                continue;
-            }
-            let pos = per_slot.len();
-            per_slot.push((slot, vec![Vec::new(); values.len()]));
-            for (vi, value) in values.iter().enumerate() {
-                match idx.prune_probe(vol, value) {
-                    ProbeOutcome::Skipped | ProbeOutcome::Absent => {}
-                    ProbeOutcome::Covered(entries) => {
-                        hits.push((pos, vi, idx, value, BatchHit::Covered(entries)));
-                    }
-                    ProbeOutcome::Bucket(bucket) => {
-                        if bucket.count == 0 {
-                            continue;
-                        }
-                        requests.push(ReadRequest::new(
-                            bucket.extent,
-                            bucket.offset,
-                            bucket.count as usize * ENTRY_BYTES,
-                        ));
-                        hits.push((pos, vi, idx, value, BatchHit::Read(bucket.count)));
-                    }
-                }
-            }
-        }
-        // The scheduler treats an empty batch as a caller error; a
-        // batch that happens to hit nothing on this arm is not one.
-        let buffers = if requests.is_empty() {
-            Vec::new()
-        } else {
-            IoScheduler::read_batch_retry(vol, &requests, ctx, retry, retries)?
-        };
-        let mut buffers = buffers.iter();
-        for (pos, vi, idx, value, hit) in hits {
-            let mut entries = hit.resolve(idx, value, &mut buffers);
-            entries.retain(|e| range.contains(e.day));
-            if let Some((_, slot_values)) = per_slot.get_mut(pos) {
-                if let Some(out) = slot_values.get_mut(vi) {
-                    *out = entries;
-                }
-            }
-        }
-        Ok(ArmBatchAnswer {
-            arm: *arm,
             per_slot,
             io: vol.stats().since(&before),
         })
@@ -601,31 +534,14 @@ impl ArmState {
     /// safely re-issue.
     fn handle(&mut self, req: ArmRequest) -> bool {
         match req {
-            ArmRequest::Probe {
-                value,
+            ArmRequest::Read {
+                what,
                 range,
                 ctx,
                 reply,
             } => {
-                let result = self.traced(ctx, "arm.probe", |s, _| {
-                    s.answer_query(Some((&value, range)), range)
-                });
-                let _ = reply.send(result);
-                true
-            }
-            ArmRequest::Scan { range, ctx, reply } => {
-                let result = self.traced(ctx, "arm.scan", |s, _| s.answer_query(None, range));
-                let _ = reply.send(result);
-                true
-            }
-            ArmRequest::ProbeBatch {
-                values,
-                range,
-                ctx,
-                reply,
-            } => {
-                let result = self.traced(ctx, "arm.batch", |s, arm_ctx| {
-                    s.answer_batch(&values, range, arm_ctx)
+                let result = self.traced(ctx, what.arm_span(), |s, arm_ctx| {
+                    s.answer(&what, range, arm_ctx)
                 });
                 let _ = reply.send(result);
                 true
@@ -672,6 +588,20 @@ impl ArmState {
             }
         }
     }
+}
+
+/// A probe or a scan of the selected slots, constituent by
+/// constituent, shaped like a one-column batch.
+fn one_by_one<'a>(
+    selected: impl Iterator<Item = (usize, &'a ConstituentIndex)>,
+    vol: &mut Volume,
+    what: Read<'_>,
+    range: TimeRange,
+    retry: Retry<'_>,
+) -> IndexResult<Vec<(usize, Vec<Vec<Entry>>)>> {
+    selected
+        .map(|(slot, idx)| Ok((slot, vec![read::read_slot(idx, vol, what, range, retry)?])))
+        .collect()
 }
 
 /// A re-issuable build request factory: supervision may need to send
@@ -1368,7 +1298,7 @@ impl WaveServer {
         &self,
         route: &Route,
         arm: usize,
-        values: &[&SearchValue],
+        values: &[SearchValue],
         range: TimeRange,
     ) -> Option<Vec<usize>> {
         let mut reconstructed = Vec::new();
@@ -1408,187 +1338,23 @@ impl WaveServer {
 
     /// `TimedIndexProbe` fanned out over the owning arms.
     pub fn probe(&self, value: &SearchValue, range: TimeRange) -> IndexResult<ServerQuery> {
-        self.fan_out(Some(value), range)
+        self.gather(ReadOp::Probe(value.clone()), range)
+            .map(ServerQuery::from)
     }
 
     /// `TimedSegmentScan` fanned out over the owning arms.
     pub fn scan(&self, range: TimeRange) -> IndexResult<ServerQuery> {
-        self.fan_out(None, range)
-    }
-
-    fn fan_out(&self, value: Option<&SearchValue>, range: TimeRange) -> IndexResult<ServerQuery> {
-        // Readers hold the route lock for the whole query: one
-        // consistent generation, maintenance flips wait for us.
-        let route = self.route_read()?;
-        self.queries.inc();
-        let mut target_arms: Vec<usize> = route.arm_of.values().copied().collect();
-        target_arms.sort_unstable();
-        target_arms.dedup();
-        let mut span = self.obs.root_span(
-            "server.query",
-            fields![
-                // "op" not "kind": the JSONL envelope already uses
-                // "kind" for the event kind.
-                ("op", if value.is_some() { "probe" } else { "scan" }),
-                ("fanout", target_arms.len() as u64)
-            ],
-        );
-        let ctx = span.ctx();
-        let make = |reply| match value {
-            Some(v) => ArmRequest::Probe {
-                value: v.clone(),
-                range,
-                ctx,
-                reply,
-            },
-            None => ArmRequest::Scan { range, ctx, reply },
-        };
-        let result = (|| -> IndexResult<ServerQuery> {
-            // Dispatch to every admitted arm first so they work
-            // concurrently; arms the breaker holds in quarantine are
-            // skipped up front and reported as missing slots. For a
-            // probe, an arm whose routing metadata proves none of its
-            // slots can match gets *no request at all* — its (empty)
-            // contribution is reconstructed below, so the answer stays
-            // byte-identical. The breaker is consulted first so
-            // elision never changes quarantine/cooldown pacing.
-            let mut missing_arms: Vec<usize> = Vec::new();
-            let mut first_err: Option<IndexError> = None;
-            let mut dispatched: Vec<(&ArmLink, InFlight<IndexResult<ArmAnswer>>)> = Vec::new();
-            let mut elided_slots: Vec<usize> = Vec::new();
-            for &arm in &target_arms {
-                let link = self.arm(arm)?;
-                if !self.admit(link) {
-                    missing_arms.push(arm);
-                    continue;
-                }
-                if let Some(v) = value {
-                    if let Some(recon) = self.elide_arm(&route, arm, &[v], range) {
-                        elided_slots.extend(recon);
-                        continue;
-                    }
-                }
-                match self.dispatch(link, &make) {
-                    Ok(inf) => dispatched.push((link, inf)),
-                    Err(e) => self.absorb_arm_failure(link, e, &mut missing_arms, &mut first_err),
-                }
-            }
-            let mut per_slot: Vec<(usize, Vec<Entry>)> = Vec::new();
-            let mut per_arm_seconds = vec![0.0f64; self.arms.len()];
-            let mut accessed = 0usize;
-            for slot in elided_slots {
-                accessed += 1;
-                per_slot.push((slot, Vec::new()));
-            }
-            for (link, inf) in dispatched {
-                match self.collect(link, inf, "arm worker disconnected mid-query", &make) {
-                    Ok(Ok(answer)) => {
-                        link.settle(&answer.io);
-                        link.lock_breaker().record_success();
-                        if let Some(s) = per_arm_seconds.get_mut(answer.arm) {
-                            *s = answer.io.sim_seconds;
-                        }
-                        // During a maintenance hand-over two arms briefly
-                        // hold a generation of the same slot — the new
-                        // one just routed in, the displaced one awaiting
-                        // its Drop. The route snapshot held across this
-                        // query decides whose answer counts, so readers
-                        // never see a slot twice.
-                        for (slot, entries) in answer.per_slot {
-                            if route.arm_of.get(&slot) == Some(&answer.arm) {
-                                accessed += 1;
-                                per_slot.push((slot, entries));
-                            }
-                        }
-                    }
-                    Ok(Err(e)) => {
-                        // The worker is alive and replied with a typed
-                        // error (e.g. a transient burst outlasting the
-                        // retry budget).
-                        link.settle(&StatsDelta::default());
-                        self.absorb_arm_failure(link, e, &mut missing_arms, &mut first_err);
-                    }
-                    Err(e) => self.absorb_arm_failure(link, e, &mut missing_arms, &mut first_err),
-                }
-            }
-            if let Some(e) = first_err {
-                drop(route);
-                return Err(e);
-            }
-            let missing_slots: Vec<usize> = route
-                .arm_of
-                .iter()
-                .filter(|(_, a)| missing_arms.contains(a))
-                .map(|(s, _)| *s)
-                .collect();
-            drop(route);
-            // Merge in ascending slot order: byte-identical to the
-            // single-threaded WaveIndex iteration.
-            per_slot.sort_by_key(|(slot, _)| *slot);
-            let elapsed = per_arm_seconds.iter().fold(0.0f64, |a, &b| a.max(b));
-            let serial = per_arm_seconds.iter().sum();
-            let partial = (!missing_slots.is_empty()).then_some(PartialAnswer { missing_slots });
-            if let Some(p) = &partial {
-                self.degraded_query("server.query", ctx.trace_id, p);
-            }
-            span.event(
-                "server.query.done",
-                fields![("accessed", accessed as u64), ("elapsed_s", elapsed)],
-            );
-            Ok(ServerQuery {
-                entries: per_slot.into_iter().flat_map(|(_, e)| e).collect(),
-                indexes_accessed: accessed,
-                elapsed_seconds: elapsed,
-                serial_seconds: serial,
-                per_arm_seconds,
-                partial,
-            })
-        })();
-        self.finish_query(&mut span, ctx, "server.query", &result, |q| {
-            (q.elapsed_seconds, &q.per_arm_seconds)
-        });
-        result
-    }
-
-    /// Shared root-span epilogue for the fan-out paths: stamps
-    /// `latency_us`/`error` end fields (flight-recorder retention
-    /// signals) and records the windowed SLO observations — one
-    /// aggregate row per operation plus one per arm that did work,
-    /// each carrying the request's trace id as the exemplar.
-    fn finish_query<T>(
-        &self,
-        span: &mut wave_obs::Span,
-        ctx: TraceCtx,
-        op: &str,
-        result: &IndexResult<T>,
-        measure: impl FnOnce(&T) -> (f64, &Vec<f64>),
-    ) {
-        match result {
-            Ok(v) => {
-                let (elapsed, per_arm) = measure(v);
-                let us = sim_micros(elapsed);
-                span.set_end_field("latency_us", us);
-                let slo = self.obs.slo();
-                slo.record(op, None, us, ctx.trace_id);
-                for (arm, s) in per_arm.iter().enumerate() {
-                    if *s > 0.0 {
-                        slo.record(op, Some(arm as u64), sim_micros(*s), ctx.trace_id);
-                    }
-                }
-            }
-            Err(e) => span.set_end_field("error", e.to_string()),
-        }
+        self.gather(ReadOp::Scan, range).map(ServerQuery::from)
     }
 
     /// A batch of `TimedIndexProbe`s over one range, fanned out with
     /// **one scheduled I/O pass per arm**: each arm resolves every
     /// `(slot, value)` bucket through its in-memory directories and
-    /// hands all the reads to
-    /// [`IoScheduler`] together, so
-    /// adjacent buckets merge and each head sweeps its arm once.
-    /// Per-value answers are byte-identical to calling
-    /// [`WaveServer::probe`] per value — only the device schedule
-    /// (and therefore the simulated cost) differs.
+    /// hands all the reads to the I/O scheduler together, so adjacent
+    /// buckets merge and each head sweeps its arm once. Per-value
+    /// answers are byte-identical to calling [`WaveServer::probe`] per
+    /// value — only the device schedule (and therefore the simulated
+    /// cost) differs.
     pub fn query_batch(
         &self,
         values: &[SearchValue],
@@ -1604,45 +1370,82 @@ impl WaveServer {
                 partial: None,
             });
         }
-        // Same locking discipline as `fan_out`: hold the route read
-        // lock across the whole batch so every value sees one
-        // placement generation.
+        self.gather(ReadOp::Batch(values.to_vec()), range)
+    }
+
+    /// The one fan-out behind [`WaveServer::probe`], [`WaveServer::scan`]
+    /// and [`WaveServer::query_batch`]: admit → elide → dispatch →
+    /// collect → route-snapshot filter → missing slots → ascending
+    /// merge. The answer has one column per queried value (a single
+    /// column for a probe or a scan).
+    fn gather(&self, what: ReadOp, range: TimeRange) -> IndexResult<ServerBatchQuery> {
+        // Readers hold the route lock for the whole query: one
+        // consistent generation, maintenance flips wait for us.
         let route = self.route_read()?;
         self.queries.inc();
-        let mut target_arms: Vec<usize> = route.arm_of.values().copied().collect();
-        target_arms.sort_unstable();
-        target_arms.dedup();
-        let mut span = self.obs.root_span(
-            "server.query_batch",
-            fields![
-                ("values", values.len() as u64),
-                ("fanout", target_arms.len() as u64)
-            ],
-        );
+        let target_arms: BTreeSet<usize> = route.arm_of.values().copied().collect();
+        let fanout = target_arms.len() as u64;
+        // "op" not "kind": the JSONL envelope already uses "kind" for
+        // the event kind.
+        let columns = what.values().map_or(1, <[_]>::len);
+        let (op, done, mut span) = match &what {
+            ReadOp::Batch(values) => (
+                "server.query_batch",
+                "server.query_batch.done",
+                self.obs.root_span(
+                    "server.query_batch",
+                    fields![("values", values.len() as u64), ("fanout", fanout)],
+                ),
+            ),
+            single => {
+                let kind = if matches!(single, ReadOp::Scan) {
+                    "scan"
+                } else {
+                    "probe"
+                };
+                (
+                    "server.query",
+                    "server.query.done",
+                    self.obs
+                        .root_span("server.query", fields![("op", kind), ("fanout", fanout)]),
+                )
+            }
+        };
         let ctx = span.ctx();
-        let make = |reply| ArmRequest::ProbeBatch {
-            values: values.to_vec(),
+        let make = |reply| ArmRequest::Read {
+            what: what.clone(),
             range,
             ctx,
             reply,
         };
         let result = (|| -> IndexResult<ServerBatchQuery> {
+            // Dispatch to every admitted arm first so they work
+            // concurrently; arms the breaker holds in quarantine are
+            // skipped up front and reported as missing slots. An arm
+            // whose routing metadata proves that no probed value can
+            // match any of its slots gets *no request at all* — its
+            // (empty) contribution is reconstructed below, so the
+            // answer stays byte-identical; one possible hit anywhere
+            // dispatches the whole request to it. The breaker is
+            // consulted first so elision never changes
+            // quarantine/cooldown pacing.
             let mut missing_arms: Vec<usize> = Vec::new();
             let mut first_err: Option<IndexError> = None;
-            let mut dispatched: Vec<(&ArmLink, InFlight<IndexResult<ArmBatchAnswer>>)> = Vec::new();
-            let mut elided_slots: Vec<usize> = Vec::new();
-            // An arm is elided only when *every* value misses *all* of
-            // its slots; one possible hit anywhere dispatches the
-            // whole batch to it.
-            let value_refs: Vec<&SearchValue> = values.iter().collect();
+            let mut dispatched: Vec<(&ArmLink, InFlight<IndexResult<ArmAnswer>>)> = Vec::new();
+            let mut per_slot: Vec<(usize, Vec<Vec<Entry>>)> = Vec::new();
             for &arm in &target_arms {
                 let link = self.arm(arm)?;
                 if !self.admit(link) {
                     missing_arms.push(arm);
                     continue;
                 }
-                if let Some(recon) = self.elide_arm(&route, arm, &value_refs, range) {
-                    elided_slots.extend(recon);
+                let elided = what
+                    .values()
+                    .and_then(|values| self.elide_arm(&route, arm, values, range));
+                if let Some(slots) = elided {
+                    // Mirror an un-elided arm's answer shape: one empty
+                    // entry list per column for each intersecting slot.
+                    per_slot.extend(slots.into_iter().map(|s| (s, vec![Vec::new(); columns])));
                     continue;
                 }
                 match self.dispatch(link, &make) {
@@ -1650,35 +1453,32 @@ impl WaveServer {
                     Err(e) => self.absorb_arm_failure(link, e, &mut missing_arms, &mut first_err),
                 }
             }
-            let mut per_slot: Vec<(usize, Vec<Vec<Entry>>)> = Vec::new();
             let mut per_arm_seconds = vec![0.0f64; self.arms.len()];
-            let mut accessed = 0usize;
-            for slot in elided_slots {
-                // Mirror an un-elided arm's answer shape: one empty
-                // entry list per queried value for each intersecting
-                // slot.
-                accessed += 1;
-                per_slot.push((slot, vec![Vec::new(); values.len()]));
-            }
             for (link, inf) in dispatched {
                 match self.collect(link, inf, "arm worker disconnected mid-query", &make) {
                     Ok(Ok(answer)) => {
                         link.settle(&answer.io);
                         link.lock_breaker().record_success();
-                        if let Some(s) = per_arm_seconds.get_mut(answer.arm) {
+                        if let Some(s) = per_arm_seconds.get_mut(link.arm) {
                             *s = answer.io.sim_seconds;
                         }
-                        // Route-snapshot filtering, exactly as in
-                        // `fan_out`: during a maintenance hand-over
-                        // only the routed generation's answer counts.
-                        for (slot, entries) in answer.per_slot {
-                            if route.arm_of.get(&slot) == Some(&answer.arm) {
-                                accessed += 1;
-                                per_slot.push((slot, entries));
-                            }
-                        }
+                        // During a maintenance hand-over two arms briefly
+                        // hold a generation of the same slot — the new
+                        // one just routed in, the displaced one awaiting
+                        // its Drop. The route snapshot held across this
+                        // query decides whose answer counts, so readers
+                        // never see a slot twice.
+                        per_slot.extend(
+                            answer
+                                .per_slot
+                                .into_iter()
+                                .filter(|(slot, _)| route.arm_of.get(slot) == Some(&link.arm)),
+                        );
                     }
                     Ok(Err(e)) => {
+                        // The worker is alive and replied with a typed
+                        // error (e.g. a transient burst outlasting the
+                        // retry budget).
                         link.settle(&StatsDelta::default());
                         self.absorb_arm_failure(link, e, &mut missing_arms, &mut first_err);
                     }
@@ -1686,7 +1486,6 @@ impl WaveServer {
                 }
             }
             if let Some(e) = first_err {
-                drop(route);
                 return Err(e);
             }
             let missing_slots: Vec<usize> = route
@@ -1696,25 +1495,24 @@ impl WaveServer {
                 .map(|(s, _)| *s)
                 .collect();
             drop(route);
-            // Merge in ascending slot order per value: byte-identical to
-            // the per-value `probe` path.
+            // Merge in ascending slot order, column by column:
+            // byte-identical to the single-threaded WaveIndex iteration.
             per_slot.sort_by_key(|(slot, _)| *slot);
-            let mut per_value: Vec<Vec<Entry>> = vec![Vec::new(); values.len()];
-            for (_, slot_values) in per_slot {
-                for (vi, entries) in slot_values.into_iter().enumerate() {
-                    if let Some(out) = per_value.get_mut(vi) {
-                        out.extend(entries);
-                    }
+            let accessed = per_slot.len();
+            let mut per_value: Vec<Vec<Entry>> = vec![Vec::new(); columns];
+            for (_, slot_columns) in per_slot {
+                for (out, entries) in per_value.iter_mut().zip(slot_columns) {
+                    out.extend(entries);
                 }
             }
             let elapsed = per_arm_seconds.iter().fold(0.0f64, |a, &b| a.max(b));
             let serial = per_arm_seconds.iter().sum();
             let partial = (!missing_slots.is_empty()).then_some(PartialAnswer { missing_slots });
             if let Some(p) = &partial {
-                self.degraded_query("server.query_batch", ctx.trace_id, p);
+                self.degraded_query(op, ctx.trace_id, p);
             }
             span.event(
-                "server.query_batch.done",
+                done,
                 fields![("accessed", accessed as u64), ("elapsed_s", elapsed)],
             );
             Ok(ServerBatchQuery {
@@ -1726,10 +1524,36 @@ impl WaveServer {
                 partial,
             })
         })();
-        self.finish_query(&mut span, ctx, "server.query_batch", &result, |q| {
-            (q.elapsed_seconds, &q.per_arm_seconds)
-        });
+        self.finish_query(&mut span, op, &result);
         result
+    }
+
+    /// Root-span epilogue of [`WaveServer::gather`]: stamps
+    /// `latency_us`/`error` end fields (flight-recorder retention
+    /// signals) and records the windowed SLO observations — one
+    /// aggregate row per operation plus one per arm that did work,
+    /// each carrying the request's trace id as the exemplar.
+    fn finish_query(
+        &self,
+        span: &mut wave_obs::Span,
+        op: &str,
+        result: &IndexResult<ServerBatchQuery>,
+    ) {
+        match result {
+            Ok(q) => {
+                let trace_id = span.ctx().trace_id;
+                let us = sim_micros(q.elapsed_seconds);
+                span.set_end_field("latency_us", us);
+                let slo = self.obs.slo();
+                slo.record(op, None, us, trace_id);
+                for (arm, s) in q.per_arm_seconds.iter().enumerate() {
+                    if *s > 0.0 {
+                        slo.record(op, Some(arm as u64), sim_micros(*s), trace_id);
+                    }
+                }
+            }
+            Err(e) => span.set_end_field("error", e.to_string()),
+        }
     }
 
     /// Shadow-rebuilds `slot` from `batches` on the dedicated

@@ -8,49 +8,15 @@
 
 use std::collections::BTreeSet;
 
-use wave_storage::{IoScheduler, ReadRequest, Volume};
+use wave_obs::TraceCtx;
+use wave_storage::Volume;
 
-use crate::entry::{decode_entries, Entry, ENTRY_BYTES};
+use crate::entry::Entry;
 use crate::error::{IndexError, IndexResult};
-use crate::index::{ConstituentIndex, ProbeOutcome};
+use crate::index::ConstituentIndex;
 use crate::query::TimeRange;
+use crate::read::{self, Read, Retry};
 use crate::record::{Day, SearchValue};
-
-/// One per-(constituent, value) hit of a batched query: either a
-/// scheduled bucket read or entries already covered in memory. Shared
-/// with the server's arm-side batch path, which prunes identically.
-pub(crate) enum BatchHit {
-    /// Consumes the next buffer of the scheduled sweep (`count`
-    /// entries).
-    Read(u32),
-    /// Covered in memory — exactly the bytes the bucket read would
-    /// have produced.
-    Covered(Vec<Entry>),
-}
-
-impl BatchHit {
-    /// Resolves the hit to its entries, consuming the next scheduled
-    /// buffer if this hit was a bucket read. Bucket reads get the
-    /// constituent's ingest overlay applied (a no-op with a clean
-    /// buffer); covered hits are already logical.
-    pub(crate) fn resolve<'a>(
-        self,
-        idx: &ConstituentIndex,
-        value: &SearchValue,
-        buffers: &mut impl Iterator<Item = &'a Vec<u8>>,
-    ) -> Vec<Entry> {
-        match self {
-            BatchHit::Covered(entries) => entries,
-            BatchHit::Read(count) => idx.overlay_pending(
-                value,
-                decode_entries(
-                    buffers.next().expect("one buffer per scheduled read"),
-                    count as usize,
-                ),
-            ),
-        }
-    }
-}
 
 /// Result of a wave-index query, carrying the access count the cost
 /// model calls `Probe_idx`/`Scan_idx`.
@@ -126,6 +92,26 @@ impl WaveIndex {
             .map(|(j, _)| j)
     }
 
+    /// Reads every constituent [`read::select`] picks, ascending, and
+    /// concatenates — the one rule behind both of the paper's queries.
+    fn query(
+        &self,
+        vol: &mut Volume,
+        what: Read<'_>,
+        range: TimeRange,
+    ) -> IndexResult<QueryResult> {
+        let mut entries = Vec::new();
+        let mut accessed = 0;
+        for (_, idx) in read::select(self.iter(), range) {
+            accessed += 1;
+            entries.extend(read::read_slot(idx, vol, what, range, None)?);
+        }
+        Ok(QueryResult {
+            entries,
+            indexes_accessed: accessed,
+        })
+    }
+
     /// `TimedIndexProbe(Θ, T1, T2, s)`.
     pub fn timed_index_probe(
         &self,
@@ -133,22 +119,7 @@ impl WaveIndex {
         value: &SearchValue,
         range: TimeRange,
     ) -> IndexResult<QueryResult> {
-        let mut entries = Vec::new();
-        let mut accessed = 0;
-        for (_, idx) in self.iter() {
-            let Some((lo, hi)) = idx.day_span() else {
-                continue; // empty constituents hold nothing to probe
-            };
-            if !range.intersects_span(lo, hi) {
-                continue;
-            }
-            accessed += 1;
-            entries.extend(idx.probe_in(vol, value, range)?);
-        }
-        Ok(QueryResult {
-            entries,
-            indexes_accessed: accessed,
-        })
+        self.query(vol, Read::Probe(value), range)
     }
 
     /// `IndexProbe(Θ, s)`: probe with an unbounded range.
@@ -157,13 +128,9 @@ impl WaveIndex {
     }
 
     /// Batched `TimedIndexProbe`: answers every value in one
-    /// elevator-ordered device sweep.
+    /// elevator-ordered device sweep, traced under the volume's
+    /// ambient context.
     ///
-    /// Directory probes are grouped per constituent (the directories
-    /// live in memory, so this costs no I/O), then *all* hit buckets
-    /// across all values and constituents are submitted to the
-    /// [`IoScheduler`] as one batch: sorted by block address, adjacent
-    /// buckets merged into single transfers, shared blocks read once.
     /// Answers are byte-identical to calling
     /// [`WaveIndex::timed_index_probe`] per value — same entries, same
     /// order, same `indexes_accessed` — only the device schedule (and
@@ -174,6 +141,20 @@ impl WaveIndex {
         values: &[SearchValue],
         range: TimeRange,
     ) -> IndexResult<Vec<QueryResult>> {
+        let ctx = vol.trace_ctx();
+        self.query_batch_under(vol, values, range, ctx, None)
+    }
+
+    /// [`WaveIndex::query_batch`] under an explicit trace context and
+    /// retry policy (the shared-handle caller's).
+    pub(crate) fn query_batch_under(
+        &self,
+        vol: &mut Volume,
+        values: &[SearchValue],
+        range: TimeRange,
+        ctx: TraceCtx,
+        retry: Retry<'_>,
+    ) -> IndexResult<Vec<QueryResult>> {
         let mut results: Vec<QueryResult> = values
             .iter()
             .map(|_| QueryResult {
@@ -181,68 +162,17 @@ impl WaveIndex {
                 indexes_accessed: 0,
             })
             .collect();
-        if values.is_empty() {
-            return Ok(results);
-        }
-        // Phase 1: in-memory pruning (filter, covering set, directory)
-        // grouped per constituent. Every value pays the same
-        // `indexes_accessed` as a solo probe would: the count reflects
-        // which constituents intersect the range, not which buckets
-        // hit — a filter skip still counts as an access, it just costs
-        // no I/O.
-        let mut requests: Vec<ReadRequest> = Vec::new();
-        let mut hits: Vec<(usize, &ConstituentIndex, &SearchValue, BatchHit)> = Vec::new();
-        let mut accessed = 0usize;
-        for (_, idx) in self.iter() {
-            let Some((lo, hi)) = idx.day_span() else {
-                continue;
-            };
-            if !range.intersects_span(lo, hi) {
-                continue;
+        // Extending per value in slot order reproduces the per-probe
+        // entry order; every value touches the same constituents.
+        let selected = read::select(self.iter(), range);
+        let emit = |_, vi: usize, entries| {
+            if let Some(result) = results.get_mut(vi) {
+                result.entries.extend(entries);
             }
-            accessed += 1;
-            for (vi, value) in values.iter().enumerate() {
-                match idx.prune_probe(vol, value) {
-                    ProbeOutcome::Skipped | ProbeOutcome::Absent => {}
-                    ProbeOutcome::Covered(entries) => {
-                        hits.push((vi, idx, value, BatchHit::Covered(entries)));
-                    }
-                    ProbeOutcome::Bucket(bucket) => {
-                        if bucket.count == 0 {
-                            continue;
-                        }
-                        requests.push(ReadRequest::new(
-                            bucket.extent,
-                            bucket.offset,
-                            bucket.count as usize * ENTRY_BYTES,
-                        ));
-                        hits.push((vi, idx, value, BatchHit::Read(bucket.count)));
-                    }
-                }
-            }
-        }
-        for r in &mut results {
-            r.indexes_accessed = accessed;
-        }
-        // Phase 2: one scheduled sweep for every bucket read (covered
-        // hits already hold their entries in memory). Never hand the
-        // scheduler an empty batch.
-        let buffers = if requests.is_empty() {
-            Vec::new()
-        } else {
-            IoScheduler::read_batch(vol, &requests)?
         };
-        // Requests were pushed in (slot, value) order, so extending
-        // per value here reproduces the per-probe slot-ascending
-        // entry order exactly; covered hits splice in at the same
-        // position the bucket read would have.
-        let mut buffers = buffers.iter();
-        for (vi, idx, value, hit) in hits {
-            let mut entries = hit.resolve(idx, value, &mut buffers);
-            entries.retain(|e| range.contains(e.day));
-            if let Some(r) = results.get_mut(vi) {
-                r.entries.extend(entries);
-            }
+        let accessed = read::read_batch(selected, vol, values, range, ctx, retry, emit)?;
+        for result in &mut results {
+            result.indexes_accessed = accessed;
         }
         Ok(results)
     }
@@ -253,22 +183,7 @@ impl WaveIndex {
         vol: &mut Volume,
         range: TimeRange,
     ) -> IndexResult<QueryResult> {
-        let mut entries = Vec::new();
-        let mut accessed = 0;
-        for (_, idx) in self.iter() {
-            let Some((lo, hi)) = idx.day_span() else {
-                continue;
-            };
-            if !range.intersects_span(lo, hi) {
-                continue;
-            }
-            accessed += 1;
-            entries.extend(idx.scan_in(vol, range)?);
-        }
-        Ok(QueryResult {
-            entries,
-            indexes_accessed: accessed,
-        })
+        self.query(vol, Read::Scan, range)
     }
 
     /// `SegmentScan(Θ)`: scan with an unbounded range.

@@ -20,8 +20,7 @@ pub const REQUIRED_SPANS: &[(&str, &str)] = &[
     ("crates/core/src/driver.rs", "start"),
     ("crates/core/src/driver.rs", "step"),
     ("crates/core/src/server.rs", "install_wave"),
-    ("crates/core/src/server.rs", "fan_out"),
-    ("crates/core/src/server.rs", "query_batch"),
+    ("crates/core/src/server.rs", "gather"),
     ("crates/core/src/server.rs", "maintain"),
     ("crates/core/src/server.rs", "restart_worker"),
     ("crates/core/src/server.rs", "degraded_query"),

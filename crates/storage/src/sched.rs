@@ -245,24 +245,6 @@ impl IoScheduler {
         result
     }
 
-    /// [`IoScheduler::read_batch_traced`] under a bounded
-    /// [`RetryPolicy`](crate::RetryPolicy): transient failures
-    /// ([`StorageError::is_transient`]) re-run the whole sweep, which
-    /// is safe because a batch read mutates nothing but the device
-    /// clock and cache. Hard errors and plan-validation errors
-    /// surface immediately. This is the entry point the serving stack
-    /// uses so an injected transient burst mid-sweep does not fail a
-    /// whole fanned-out batch query.
-    pub fn read_batch_retry(
-        vol: &mut Volume,
-        requests: &[ReadRequest],
-        ctx: wave_obs::TraceCtx,
-        retry: &crate::RetryPolicy,
-        retries: &wave_obs::Counter,
-    ) -> StorageResult<Vec<Vec<u8>>> {
-        retry.run(retries, || Self::read_batch_traced(vol, requests, ctx))
-    }
-
     fn read_batch_inner(
         vol: &mut Volume,
         requests: &[ReadRequest],
