@@ -56,23 +56,16 @@ echo "==> swapped and stale files fail the manifest checksum"
 cargo test -q -p wave-index --test incremental_commit --offline \
   swapped_or_stale_files_fail_the_manifest_checksum
 
-# The parallel-engine gates, also named explicitly: readers racing
-# epoch-committing maintenance must always see a committed epoch, and
-# the measured multi-arm speedups must track the analytic predictions
-# (--smoke keeps the sweep CI-sized; the full sweep is
-# `wavectl bench-parallel`).
+# The parallel-engine gate, also named explicitly: readers racing
+# epoch-committing maintenance must always see a committed epoch (the
+# measured multi-arm speedups are the `parallel` suite below).
 echo "==> concurrency stress"
 cargo test -q -p wave-index --test concurrent_stress --offline
 
-echo "==> bench-parallel --smoke"
-cargo run -q --release --offline -p wavectl -- bench-parallel --smoke \
-  --out target/BENCH_parallel_smoke.json >/dev/null
-
 # The batched-I/O gates: the elevator scheduler must stay byte-exact
-# and never cost more than naive request order, batched probes must
-# match per-value probes everywhere (index and server), and the
-# bulk-build/query-batch sweep must hold its speedup bounds (--smoke
-# keeps it CI-sized; the full sweep is `wavectl bench-batch`).
+# and never cost more than naive request order, and batched probes
+# must match per-value probes everywhere (index and server); the
+# bulk-build/query-batch speedup bounds are the `batch` suite below.
 echo "==> I/O scheduler property tests"
 cargo test -q -p wave-storage --offline sched::
 echo "==> batched query equivalence"
@@ -84,70 +77,69 @@ cargo test -q -p wave-index --offline query_batch
 echo "==> read path: every reader matches the model"
 cargo test -q -p wave-index --test read_path --offline
 
-echo "==> bench-batch --smoke"
-cargo run -q --release --offline -p wavectl -- bench-batch --smoke \
-  --out target/BENCH_batch_smoke.json >/dev/null
-
 # The probe-pruning gates (DESIGN.md §14): filters and covering
 # buckets must stay byte-identical to the unfiltered paths on every
-# scheme, a torn or deleted filter sidecar must be rebuilt by
-# `recover` from the constituent alone, and the Zipf sweep must hold
-# its seek-reduction and false-positive bounds (--smoke keeps it
-# CI-sized; the full sweep is `wavectl bench-filter`).
+# scheme, and a torn or deleted filter sidecar must be rebuilt by
+# `recover` from the constituent alone; the seek-reduction and
+# false-positive bounds are the `filter` suite below.
 echo "==> filter byte-identity sweep"
 cargo test -q -p wave-index --test filter_pruning --offline
 echo "==> filter sidecar rebuild"
 cargo test -q -p wave-index --test crash_recovery --offline \
   torn_filter_sidecars_are_rebuilt_by_recover
 
-echo "==> bench-filter --smoke"
-cargo run -q --release --offline -p wavectl -- bench-filter --smoke \
-  --out target/BENCH_filter_smoke.json >/dev/null
-
 # The observability gates (DESIGN.md §12): every request reconstructs
-# into a single-rooted causal tree, the flight recorder promotes
-# exactly the injected slow scan and erroring maintenance call, and
-# the always-on tracing layer stays within its wall-clock overhead
-# bound (--smoke proves the machinery; the committed BENCH_obs.json
-# pins the 5% number from the full `wavectl bench-obs` run).
+# into a single-rooted causal tree, and the flight recorder promotes
+# exactly the injected slow scan and erroring maintenance call; the
+# wall-clock overhead bound is the `obs` suite below (--smoke proves
+# the machinery; the committed BENCH_obs.json pins the 5% number from
+# the full run).
 echo "==> trace-tree reconstruction"
 cargo test -q -p wavectl --offline trace_tree_reconstructs_driver_traces
 echo "==> flight-recorder promotion"
 cargo test -q -p wavectl --offline \
   flight_dump_promotes_slow_and_erroring_traces_and_trees_are_rooted
 
-echo "==> bench-obs --smoke"
-cargo run -q --release --offline -p wavectl -- bench-obs --smoke \
-  --out target/BENCH_obs_smoke.json >/dev/null
-
 # The buffered-ingest gates (DESIGN.md "Buffered ingest"): reads over
 # dirty buffers must stay byte-identical to the unbuffered twin on
-# every scheme x technique, dirty-buffer commits must survive the
-# crash-point explorer, and the amortized-write sweep must hold its
-# DEL speedup bound (--smoke keeps it CI-sized; the full sweep is
-# `wavectl bench-ingest`).
+# every scheme x technique, and dirty-buffer commits must survive the
+# crash-point explorer; the DEL speedup bound is the `ingest` suite
+# below.
 echo "==> buffered-ingest byte-identity"
 cargo test -q -p wave-index --test ingest_buffering --offline
 echo "==> dirty-buffer crash points"
 cargo test -q -p wave-index --test crash_recovery --offline \
   dirty_buffer_crash_points_recover_to_pre_or_post_state
 
-echo "==> bench-ingest --smoke"
-cargo run -q --release --offline -p wavectl -- bench-ingest --smoke \
-  --out target/BENCH_ingest_smoke.json >/dev/null
-
-# The fault-tolerance gates (DESIGN.md §13): recovery racing a
-# degraded server must heal, and the chaos soak — killed workers,
-# transient-read bursts, quarantines, racing maintenance — must keep
-# every completed answer byte-identical to the single-threaded oracle
-# and shut down leak-free (--smoke keeps it CI-sized; the full soak
-# is `wavectl chaos`).
+# The fault-tolerance gate (DESIGN.md §13): recovery racing a degraded
+# server must heal; the soak — killed workers, transient-read bursts,
+# quarantines, racing maintenance, every completed answer checked
+# against the single-threaded oracle, leak-free shutdown — is the
+# `chaos` suite below.
 echo "==> degraded serving under recovery"
 cargo test -q -p wave-index --test degraded_serving --offline
 
-echo "==> chaos --smoke"
-cargo run -q --release --offline -p wavectl -- chaos --smoke \
-  --out target/BENCH_chaos_smoke.json >/dev/null
+# Every evaluation suite at its CI-sized preset. Each states a bound
+# and a violated one fails the run after printing its table, so a red
+# build shows the row that moved.
+echo "==> wavectl bench all --smoke"
+cargo run -q --release --offline -p wavectl -- bench all --smoke \
+  --out-dir target/bench_smoke
+
+# The committed baselines cannot go stale: the four deterministic
+# suites run in full (~3 s) and must reproduce BENCH_<suite>.json byte
+# for byte. BENCH_obs.json is wall-clock and BENCH_commit.json is
+# written by benchmark/, so neither is compared.
+echo "==> committed BENCH_*.json are current"
+for suite in parallel batch filter ingest; do
+  cargo run -q --release --offline -p wavectl -- bench "$suite" \
+    --out-dir target/bench_full
+  cmp "target/bench_full/BENCH_$suite.json" "BENCH_$suite.json" || {
+    echo "BENCH_$suite.json is stale: regenerate with" \
+      "\`wavectl bench $suite\` and commit" >&2
+    exit 1
+  }
+done
 
 # Optional sanitizer pass: Miri catches UB the tests cannot. It needs
 # a nightly toolchain with the miri component, which the offline CI

@@ -20,17 +20,18 @@
 //! Byte-identical answers are asserted inside the sweep; the
 //! "batched is never slower" and "bulk build is ≥ the configured
 //! multiple faster for REINDEX" bounds are validated by [`check`].
-//! `wavectl bench-batch` drives this and writes the results as
-//! `BENCH_batch.json` (schema documented in EXPERIMENTS.md).
+//! `wavectl bench batch` drives this and writes the results as
+//! `BENCH_batch.json` (columns documented in EXPERIMENTS.md).
 
 use wave_index::prelude::*;
 use wave_index::schemes::SchemeKind;
 use wave_index::{ConstituentIndex, Entry};
-use wave_obs::json::JsonObject;
 use wave_obs::SplitMix64;
 use wave_workloads::ArticleGenerator;
 
 use crate::parallel::scheme_partition;
+use crate::suite::Show::{Json, Table};
+use crate::suite::{Report, Row};
 
 /// Configuration of one batched-I/O sweep.
 #[derive(Debug, Clone)]
@@ -298,8 +299,8 @@ fn release(mut wave: WaveIndex, mut vol: Volume) {
 /// Verifies the acceptance bounds: the batched probe is never slower
 /// than the per-value replay (any scheme), and the REINDEX bulk build
 /// reaches the sweep's minimum speedup over entry-at-a-time. Returns
-/// the offending rows otherwise.
-pub fn check(results: &[BatchResult], min_build_speedup: f64) -> Result<(), Vec<String>> {
+/// the offending rows.
+pub fn check(results: &[BatchResult], min_build_speedup: f64) -> Vec<String> {
     let mut bad = Vec::new();
     for r in results {
         if r.query_batch_seconds > r.query_solo_seconds + 1e-9 {
@@ -317,66 +318,73 @@ pub fn check(results: &[BatchResult], min_build_speedup: f64) -> Result<(), Vec<
             ));
         }
     }
-    if bad.is_empty() {
-        Ok(())
-    } else {
-        Err(bad)
-    }
+    bad
 }
 
-/// Renders the sweep as the `BENCH_batch.json` document: a top-level
-/// object with the sweep parameters and one flat object per scheme
-/// row (schema documented in EXPERIMENTS.md).
-pub fn render_json(sweep: &BatchSweep, results: &[BatchResult]) -> String {
-    let mut head = JsonObject::new();
-    head.str("schema", "wave-bench/batch/v1")
-        .u64("window", sweep.window as u64)
-        .u64("fan", sweep.fan as u64)
-        .u64("articles_per_day", sweep.articles_per_day as u64)
-        .u64("words_per_article", sweep.words_per_article as u64)
-        .u64("vocab", sweep.vocab as u64)
-        .u64("batch_values", sweep.batch_values as u64)
-        .u64("seed", sweep.seed)
-        .f64("min_build_speedup", sweep.min_build_speedup);
-    let head = head.finish();
-    let mut out = String::new();
-    out.push_str(&head[..head.len() - 1]); // reopen the object
-    out.push_str(",\"cases\":[");
-    for (i, r) in results.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        let mut o = JsonObject::new();
-        o.str("scheme", r.scheme)
-            .u64("entries", r.entries)
-            .f64("build_bulk_seconds", r.build_bulk_seconds)
-            .f64("build_incremental_seconds", r.build_incremental_seconds)
-            .f64("build_speedup", r.build_speedup())
-            .u64("batch_values", r.batch_values as u64)
-            .u64("batch_entries", r.batch_entries)
-            .f64("query_solo_seconds", r.query_solo_seconds)
-            .f64("query_batch_seconds", r.query_batch_seconds)
-            .f64("query_speedup", r.query_speedup())
-            .u64("requests_merged", r.requests_merged)
-            .u64("seeks_saved", r.seeks_saved)
-            .u64("bulk_pages", r.bulk_pages);
-        out.push_str(&o.finish());
+/// Runs the smoke or full sweep and reports it: the sweep parameters,
+/// one row per scheme, and the [`check`] verdict (`BENCH_batch.json`,
+/// columns documented in EXPERIMENTS.md).
+pub fn report(smoke: bool) -> Report {
+    let sweep = if smoke {
+        BatchSweep::smoke()
+    } else {
+        BatchSweep::full()
+    };
+    let results = run_sweep(&sweep);
+    let head = Row::new()
+        .str(Json, "schema", "wave-bench/batch/v1")
+        .u64(Json, "window", sweep.window as u64)
+        .u64(Json, "fan", sweep.fan as u64)
+        .u64(Json, "articles_per_day", sweep.articles_per_day as u64)
+        .u64(Json, "words_per_article", sweep.words_per_article as u64)
+        .u64(Json, "vocab", sweep.vocab as u64)
+        .u64(Json, "batch_values", sweep.batch_values as u64)
+        .u64(Json, "seed", sweep.seed)
+        .f64(Json, "min_build_speedup", sweep.min_build_speedup);
+    let case = |r: &BatchResult| {
+        Row::new()
+            .str(Table, "scheme", r.scheme)
+            .u64(Json, "entries", r.entries)
+            .f64(Json, "build_bulk_seconds", r.build_bulk_seconds)
+            .f64(
+                Json,
+                "build_incremental_seconds",
+                r.build_incremental_seconds,
+            )
+            .f64(Table, "build_speedup", r.build_speedup())
+            .u64(Json, "batch_values", r.batch_values as u64)
+            .u64(Json, "batch_entries", r.batch_entries)
+            .f64(Json, "query_solo_seconds", r.query_solo_seconds)
+            .f64(Json, "query_batch_seconds", r.query_batch_seconds)
+            .f64(Table, "query_speedup", r.query_speedup())
+            .u64(Table, "requests_merged", r.requests_merged)
+            .u64(Table, "seeks_saved", r.seeks_saved)
+            .u64(Table, "bulk_pages", r.bulk_pages)
+    };
+    Report {
+        head,
+        cases: Some(results.iter().map(case).collect()),
+        violations: check(&results, sweep.min_build_speedup),
+        pass: format!(
+            "batched probes never slower; REINDEX bulk build ≥ {:.1}x entry-at-a-time",
+            sweep.min_build_speedup
+        ),
     }
-    out.push_str("]}");
-    out
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use wave_obs::json;
 
     #[test]
     fn smoke_sweep_meets_the_batching_bounds() {
         let sweep = BatchSweep::smoke();
         let results = run_sweep(&sweep);
         assert_eq!(results.len(), sweep.schemes.len());
-        check(&results, sweep.min_build_speedup).unwrap_or_else(|bad| panic!("{}", bad.join("\n")));
+        assert_eq!(
+            check(&results, sweep.min_build_speedup),
+            Vec::<String>::new()
+        );
         for r in &results {
             assert!(r.entries > 0, "{r:?}");
             assert!(r.build_bulk_seconds > 0.0, "{r:?}");
@@ -384,32 +392,6 @@ mod tests {
             // reads on a packed layout.
             assert!(r.requests_merged > 0, "{r:?}");
             assert!(r.bulk_pages > 0, "{r:?}");
-        }
-    }
-
-    #[test]
-    fn json_document_is_parseable_per_case() {
-        let sweep = BatchSweep::smoke();
-        let results = run_sweep(&sweep);
-        let doc = render_json(&sweep, &results);
-        assert!(doc.starts_with('{') && doc.ends_with("]}"));
-        assert!(doc.contains("\"schema\":\"wave-bench/batch/v1\""));
-        let cases = doc.split("\"cases\":[").nth(1).unwrap();
-        let cases = &cases[..cases.len() - 2];
-        for case in cases.split("},{") {
-            let case = if case.starts_with('{') {
-                case.to_string()
-            } else {
-                format!("{{{case}")
-            };
-            let case = if case.ends_with('}') {
-                case
-            } else {
-                format!("{case}}}")
-            };
-            let map = json::parse_flat(&case).unwrap_or_else(|| panic!("bad case {case}"));
-            assert!(map.contains_key("build_speedup"));
-            assert!(map.contains_key("query_speedup"));
         }
     }
 
@@ -428,13 +410,13 @@ mod tests {
             seeks_saved: 2,
             bulk_pages: 10,
         };
-        assert!(check(std::slice::from_ref(&good), 2.0).is_ok());
+        assert!(check(std::slice::from_ref(&good), 2.0).is_empty());
 
         let mut slow_query = good.clone();
         slow_query.query_batch_seconds = 3.0;
         let mut slow_build = good.clone();
         slow_build.build_incremental_seconds = 1.5;
-        let err = check(&[slow_query, slow_build], 2.0).unwrap_err();
+        let err = check(&[slow_query, slow_build], 2.0);
         assert_eq!(err.len(), 2, "{err:?}");
         assert!(err[0].contains("slower than per-value"), "{}", err[0]);
         assert!(err[1].contains("bulk build"), "{}", err[1]);

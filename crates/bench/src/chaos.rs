@@ -25,7 +25,7 @@
 //! The event *schedule* is seeded and deterministic; thread
 //! interleaving is not, so the invariants are written to hold under
 //! every interleaving (the counts in the report are descriptive, not
-//! golden). `wavectl chaos [--smoke]` drives this and prints the
+//! golden). `wavectl bench chaos [--smoke]` drives this and prints the
 //! per-scheme report.
 //!
 //! The soak runs the server with its default [`IndexConfig`], so the
@@ -54,12 +54,13 @@ use wave_index::prelude::*;
 use wave_index::schemes::SchemeKind;
 use wave_index::server::{PartialAnswer, ServerConfig, WaveServer};
 use wave_index::{ConstituentIndex, Entry, IndexResult};
-use wave_obs::json::JsonObject;
 use wave_obs::{MemorySink, Obs, SplitMix64};
 use wave_storage::DiskArray;
 use wave_workloads::ArticleGenerator;
 
 use crate::parallel::scheme_partition;
+use crate::suite::Show::{Json, Table};
+use crate::suite::{Report, Row};
 
 /// Configuration of one chaos soak.
 #[derive(Debug, Clone)]
@@ -631,44 +632,53 @@ fn run_scheme(kind: SchemeKind, soak: &ChaosSoak) -> ChaosReport {
     report
 }
 
-/// Renders the soak as the `BENCH_chaos.json` document.
-pub fn render_json(soak: &ChaosSoak, reports: &[ChaosReport]) -> String {
-    let mut head = JsonObject::new();
-    head.str("schema", "wave-bench/chaos/v1")
-        .u64("window", soak.window as u64)
-        .u64("fan", soak.fan as u64)
-        .u64("arms", soak.arms as u64)
-        .u64("readers", soak.readers as u64)
-        .u64("queries_per_reader", soak.queries_per_reader as u64)
-        .u64("maintain_rounds", soak.maintain_rounds as u64)
-        .u64("chaos_events", soak.chaos_events as u64)
-        .u64("seed", soak.seed);
-    let head = head.finish();
-    let mut out = String::new();
-    out.push_str(&head[..head.len() - 1]);
-    out.push_str(",\"cases\":[");
-    for (i, r) in reports.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        let mut o = JsonObject::new();
-        o.str("scheme", r.scheme)
-            .u64("slots", r.slots as u64)
-            .u64("ok", r.ok)
-            .u64("partial", r.partial)
-            .u64("errors", r.errors)
-            .u64("maintains_ok", r.maintains_ok)
-            .u64("maintains_err", r.maintains_err)
-            .u64("kills", r.kills)
-            .u64("bursts", r.bursts)
-            .u64("quarantines", r.quarantines)
-            .u64("worker_restarts", r.worker_restarts)
-            .u64("breaker_trips", r.breaker_trips)
-            .u64("read_retries", r.read_retries);
-        out.push_str(&o.finish());
+/// Runs the smoke or full soak and reports it: the soak parameters
+/// and one row per scheme (`BENCH_chaos.json`). The soak itself panics
+/// on any invariant violation (a wrong or silently-partial answer, a
+/// failure to heal, a storage leak), so a report that exists has no
+/// violations: reaching it means every completed answer matched the
+/// single-threaded oracle.
+pub fn report(smoke: bool) -> Report {
+    let soak = if smoke {
+        ChaosSoak::smoke()
+    } else {
+        ChaosSoak::full()
+    };
+    let reports = run_soak(&soak);
+    let head = Row::new()
+        .str(Json, "schema", "wave-bench/chaos/v1")
+        .u64(Json, "window", soak.window as u64)
+        .u64(Json, "fan", soak.fan as u64)
+        .u64(Json, "arms", soak.arms as u64)
+        .u64(Json, "readers", soak.readers as u64)
+        .u64(Json, "queries_per_reader", soak.queries_per_reader as u64)
+        .u64(Json, "maintain_rounds", soak.maintain_rounds as u64)
+        .u64(Json, "chaos_events", soak.chaos_events as u64)
+        .u64(Json, "seed", soak.seed);
+    let case = |r: &ChaosReport| {
+        Row::new()
+            .str(Table, "scheme", r.scheme)
+            .u64(Table, "slots", r.slots as u64)
+            .u64(Table, "ok", r.ok)
+            .u64(Table, "partial", r.partial)
+            .u64(Table, "errors", r.errors)
+            .u64(Table, "maintains_ok", r.maintains_ok)
+            .u64(Table, "maintains_err", r.maintains_err)
+            .u64(Table, "kills", r.kills)
+            .u64(Table, "bursts", r.bursts)
+            .u64(Table, "quarantines", r.quarantines)
+            .u64(Table, "worker_restarts", r.worker_restarts)
+            .u64(Table, "breaker_trips", r.breaker_trips)
+            .u64(Table, "read_retries", r.read_retries)
+    };
+    Report {
+        head,
+        cases: Some(reports.iter().map(case).collect()),
+        violations: Vec::new(),
+        pass: "every completed answer matched the single-threaded oracle; \
+               all arms healed and shut down leak-free"
+            .to_string(),
     }
-    out.push_str("]}");
-    out
 }
 
 #[cfg(test)]
@@ -697,18 +707,5 @@ mod tests {
                 r.scheme
             );
         }
-    }
-
-    #[test]
-    fn json_document_has_schema_and_cases() {
-        let soak = ChaosSoak {
-            schemes: vec![SchemeKind::Reindex],
-            ..ChaosSoak::smoke()
-        };
-        let reports = run_soak(&soak);
-        let doc = render_json(&soak, &reports);
-        assert!(doc.starts_with('{') && doc.ends_with("]}"));
-        assert!(doc.contains("\"schema\":\"wave-bench/chaos/v1\""));
-        assert!(doc.contains("\"scheme\":\"REINDEX\""));
     }
 }

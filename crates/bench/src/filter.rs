@@ -20,18 +20,19 @@
 //! on both the per-value and the batched path; the "filtered is
 //! measurably cheaper in seeks, and the filter's false-positive rate
 //! stays bounded" acceptance criteria live in [`check`]. `wavectl
-//! bench-filter` drives this and writes the results as
+//! bench filter` drives this and writes the results as
 //! `BENCH_filter.json` (schema `wave-bench/filter/v1`, documented in
 //! EXPERIMENTS.md).
 
 use wave_index::prelude::*;
 use wave_index::schemes::SchemeKind;
 use wave_index::ConstituentIndex;
-use wave_obs::json::JsonObject;
 use wave_obs::SplitMix64;
 use wave_workloads::{ArticleGenerator, Zipf};
 
 use crate::parallel::scheme_partition;
+use crate::suite::Show::{Json, Table};
+use crate::suite::{Report, Row};
 
 /// Configuration of one probe-pruning sweep.
 #[derive(Debug, Clone)]
@@ -332,8 +333,8 @@ fn release(mut wave: WaveIndex, mut vol: Volume) {
 /// sweep's minimum seeks-per-query reduction, the filter must have
 /// actually pruned (non-zero skips on a ghost-bearing mix), and the
 /// false-positive rate among ghost consults must stay within bound.
-/// Returns the offending rows otherwise.
-pub fn check(results: &[FilterResult], sweep: &FilterSweep) -> Result<(), Vec<String>> {
+/// Returns the offending rows.
+pub fn check(results: &[FilterResult], sweep: &FilterSweep) -> Vec<String> {
     let mut bad = Vec::new();
     for r in results {
         if r.seek_reduction() < sweep.min_seek_reduction {
@@ -361,67 +362,75 @@ pub fn check(results: &[FilterResult], sweep: &FilterSweep) -> Result<(), Vec<St
             ));
         }
     }
-    if bad.is_empty() {
-        Ok(())
-    } else {
-        Err(bad)
-    }
+    bad
 }
 
-/// Renders the sweep as the `BENCH_filter.json` document: a top-level
-/// object with the sweep parameters and one flat object per scheme
-/// row (schema `wave-bench/filter/v1`, documented in EXPERIMENTS.md).
-pub fn render_json(sweep: &FilterSweep, results: &[FilterResult]) -> String {
-    let mut head = JsonObject::new();
-    head.str("schema", "wave-bench/filter/v1")
-        .u64("window", sweep.window as u64)
-        .u64("fan", sweep.fan as u64)
-        .u64("articles_per_day", sweep.articles_per_day as u64)
-        .u64("words_per_article", sweep.words_per_article as u64)
-        .u64("vocab", sweep.vocab as u64)
-        .u64("probes", sweep.probes as u64)
-        .f64("zipf_s", sweep.zipf_s)
-        .u64("ghost_percent", sweep.ghost_percent)
-        .u64("covering_hot", sweep.covering_hot as u64)
-        .u64("bits_per_value", sweep.bits_per_value as u64)
-        .u64("seed", sweep.seed)
-        .f64("min_seek_reduction", sweep.min_seek_reduction)
-        .f64("max_fp_rate", sweep.max_fp_rate);
-    let head = head.finish();
-    let mut out = String::new();
-    out.push_str(&head[..head.len() - 1]); // reopen the object
-    out.push_str(",\"cases\":[");
-    for (i, r) in results.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        let mut o = JsonObject::new();
-        o.str("scheme", r.scheme)
-            .u64("entries", r.entries)
-            .u64("probes", r.probes as u64)
-            .u64("ghost_probes", r.ghost_probes as u64)
-            .u64("seeks_unfiltered", r.seeks_unfiltered)
-            .u64("seeks_filtered", r.seeks_filtered)
-            .f64("seeks_per_query_unfiltered", r.seeks_per_query_unfiltered())
-            .f64("seeks_per_query_filtered", r.seeks_per_query_filtered())
-            .f64("seek_reduction", r.seek_reduction())
-            .f64("unfiltered_seconds", r.unfiltered_seconds)
-            .f64("filtered_seconds", r.filtered_seconds)
-            .u64("filter_checks", r.filter_checks)
-            .u64("filter_skips", r.filter_skips)
-            .u64("filter_false_positives", r.filter_false_positives)
-            .f64("fp_rate", r.fp_rate())
-            .u64("covering_hits", r.covering_hits);
-        out.push_str(&o.finish());
+/// Runs the smoke or full sweep and reports it: the sweep parameters,
+/// one row per scheme, and the [`check`] verdict (`BENCH_filter.json`,
+/// columns documented in EXPERIMENTS.md).
+pub fn report(smoke: bool) -> Report {
+    let sweep = if smoke {
+        FilterSweep::smoke()
+    } else {
+        FilterSweep::full()
+    };
+    let results = run_sweep(&sweep);
+    let head = Row::new()
+        .str(Json, "schema", "wave-bench/filter/v1")
+        .u64(Json, "window", sweep.window as u64)
+        .u64(Json, "fan", sweep.fan as u64)
+        .u64(Json, "articles_per_day", sweep.articles_per_day as u64)
+        .u64(Json, "words_per_article", sweep.words_per_article as u64)
+        .u64(Json, "vocab", sweep.vocab as u64)
+        .u64(Json, "probes", sweep.probes as u64)
+        .f64(Json, "zipf_s", sweep.zipf_s)
+        .u64(Json, "ghost_percent", sweep.ghost_percent)
+        .u64(Json, "covering_hot", sweep.covering_hot as u64)
+        .u64(Json, "bits_per_value", sweep.bits_per_value as u64)
+        .u64(Json, "seed", sweep.seed)
+        .f64(Json, "min_seek_reduction", sweep.min_seek_reduction)
+        .f64(Json, "max_fp_rate", sweep.max_fp_rate);
+    let case = |r: &FilterResult| {
+        Row::new()
+            .str(Table, "scheme", r.scheme)
+            .u64(Json, "entries", r.entries)
+            .u64(Json, "probes", r.probes as u64)
+            .u64(Json, "ghost_probes", r.ghost_probes as u64)
+            .u64(Json, "seeks_unfiltered", r.seeks_unfiltered)
+            .u64(Json, "seeks_filtered", r.seeks_filtered)
+            .f64(
+                Table,
+                "seeks_per_query_unfiltered",
+                r.seeks_per_query_unfiltered(),
+            )
+            .f64(
+                Table,
+                "seeks_per_query_filtered",
+                r.seeks_per_query_filtered(),
+            )
+            .f64(Table, "seek_reduction", r.seek_reduction())
+            .f64(Json, "unfiltered_seconds", r.unfiltered_seconds)
+            .f64(Json, "filtered_seconds", r.filtered_seconds)
+            .u64(Json, "filter_checks", r.filter_checks)
+            .u64(Table, "filter_skips", r.filter_skips)
+            .u64(Table, "filter_false_positives", r.filter_false_positives)
+            .f64(Table, "fp_rate", r.fp_rate())
+            .u64(Table, "covering_hits", r.covering_hits)
+    };
+    Report {
+        head,
+        cases: Some(results.iter().map(case).collect()),
+        violations: check(&results, &sweep),
+        pass: format!(
+            "answers byte-identical; every scheme saves ≥ {:.0}% of seeks on the Zipf mix",
+            sweep.min_seek_reduction * 100.0
+        ),
     }
-    out.push_str("]}");
-    out
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use wave_obs::json;
 
     #[test]
     fn probe_mix_is_deterministic_per_seed() {
@@ -444,38 +453,12 @@ mod tests {
         let sweep = FilterSweep::smoke();
         let results = run_sweep(&sweep);
         assert_eq!(results.len(), sweep.schemes.len());
-        check(&results, &sweep).unwrap_or_else(|bad| panic!("{}", bad.join("\n")));
+        assert_eq!(check(&results, &sweep), Vec::<String>::new());
         for r in &results {
             assert!(r.entries > 0, "{r:?}");
             assert!(r.filter_checks > 0, "{r:?}");
             assert!(r.covering_hits > 0, "{r:?}");
             assert!(r.seeks_filtered < r.seeks_unfiltered, "{r:?}");
-        }
-    }
-
-    #[test]
-    fn json_document_is_parseable_per_case() {
-        let sweep = FilterSweep::smoke();
-        let results = run_sweep(&sweep);
-        let doc = render_json(&sweep, &results);
-        assert!(doc.starts_with('{') && doc.ends_with("]}"));
-        assert!(doc.contains("\"schema\":\"wave-bench/filter/v1\""));
-        let cases = doc.split("\"cases\":[").nth(1).unwrap();
-        let cases = &cases[..cases.len() - 2];
-        for case in cases.split("},{") {
-            let case = if case.starts_with('{') {
-                case.to_string()
-            } else {
-                format!("{{{case}")
-            };
-            let case = if case.ends_with('}') {
-                case
-            } else {
-                format!("{case}}}")
-            };
-            let map = json::parse_flat(&case).unwrap_or_else(|| panic!("bad case {case}"));
-            assert!(map.contains_key("seek_reduction"));
-            assert!(map.contains_key("fp_rate"));
         }
     }
 
@@ -496,7 +479,7 @@ mod tests {
             filter_false_positives: 10,
             covering_hits: 120,
         };
-        assert!(check(std::slice::from_ref(&good), &sweep).is_ok());
+        assert!(check(std::slice::from_ref(&good), &sweep).is_empty());
 
         let mut no_gain = good.clone();
         no_gain.seeks_filtered = 395;
@@ -505,7 +488,7 @@ mod tests {
         never_skipped.filter_false_positives = 0;
         let mut leaky = good.clone();
         leaky.filter_false_positives = 100;
-        let err = check(&[no_gain, never_skipped, leaky], &sweep).unwrap_err();
+        let err = check(&[no_gain, never_skipped, leaky], &sweep);
         assert_eq!(err.len(), 3, "{err:?}");
         assert!(err[0].contains("seeks/query"), "{}", err[0]);
         assert!(err[1].contains("never skipped"), "{}", err[1]);

@@ -17,14 +17,16 @@
 //! two volumes. The DEL speedup bound — daily-add elapsed dropping by
 //! at least the configured multiple under buffering, on the in-place,
 //! simple-shadow, and packed-shadow paths — is validated by [`check`].
-//! `wavectl bench-ingest` drives this and writes the results as
+//! `wavectl bench ingest` drives this and writes the results as
 //! `BENCH_ingest.json` (schema documented in EXPERIMENTS.md).
 
 use wave_index::prelude::*;
 use wave_index::schemes::SchemeKind;
-use wave_obs::json::JsonObject;
 use wave_obs::SplitMix64;
 use wave_workloads::ArticleGenerator;
+
+use crate::suite::Show::{Json, Table};
+use crate::suite::{Report, Row};
 
 /// Configuration of one amortized-write sweep.
 #[derive(Debug, Clone)]
@@ -330,8 +332,8 @@ fn release(mut twin: Twin, ctx: &str) {
 /// reach the sweep's minimum speedup under buffering (DEL applies the
 /// add/delete path every day, so it isolates the amortized write
 /// path), and no row regresses below parity beyond timing noise.
-/// Returns the offending rows otherwise.
-pub fn check(results: &[IngestResult], min_del_speedup: f64) -> Result<(), Vec<String>> {
+/// Returns the offending rows.
+pub fn check(results: &[IngestResult], min_del_speedup: f64) -> Vec<String> {
     let mut bad = Vec::new();
     for r in results {
         if r.scheme == SchemeKind::Del.name() && r.speedup() < min_del_speedup {
@@ -352,67 +354,67 @@ pub fn check(results: &[IngestResult], min_del_speedup: f64) -> Result<(), Vec<S
             ));
         }
     }
-    if bad.is_empty() {
-        Ok(())
-    } else {
-        Err(bad)
-    }
+    bad
 }
 
-/// Renders the sweep as the `BENCH_ingest.json` document: a top-level
-/// object with the sweep parameters and one flat object per scheme ×
-/// technique row (schema documented in EXPERIMENTS.md).
-pub fn render_json(sweep: &IngestSweep, results: &[IngestResult]) -> String {
-    let mut head = JsonObject::new();
-    head.str("schema", "wave-bench/ingest/v1")
-        .u64("window", sweep.window as u64)
-        .u64("fan", sweep.fan as u64)
-        .u64("days", sweep.days as u64)
-        .u64("articles_per_day", sweep.articles_per_day as u64)
-        .u64("words_per_article", sweep.words_per_article as u64)
-        .u64("vocab", sweep.vocab as u64)
-        .u64("spill_entries", sweep.spill_entries as u64)
-        .u64("spill_days", sweep.spill_days as u64)
-        .u64("probe_values", sweep.probe_values as u64)
-        .u64("seed", sweep.seed)
-        .f64("min_del_speedup", sweep.min_del_speedup);
-    let head = head.finish();
-    let mut out = String::new();
-    out.push_str(&head[..head.len() - 1]); // reopen the object
-    out.push_str(",\"cases\":[");
-    for (i, r) in results.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        let mut o = JsonObject::new();
-        o.str("scheme", r.scheme)
-            .str("technique", r.technique)
-            .u64("entries", r.entries)
-            .f64("unbuffered_seconds", r.unbuffered_seconds)
-            .f64("buffered_seconds", r.buffered_seconds)
-            .f64("speedup", r.speedup())
-            .u64("spills", r.spills)
-            .u64("spilled_entries", r.spilled_entries)
-            .u64("buffered_adds", r.buffered_adds)
-            .u64("pending_at_end", r.pending_at_end)
-            .u64("probe_entries", r.probe_entries);
-        out.push_str(&o.finish());
+/// Runs the smoke or full sweep and reports it: the sweep parameters,
+/// one row per scheme × technique, and the [`check`] verdict
+/// (`BENCH_ingest.json`, columns documented in EXPERIMENTS.md).
+pub fn report(smoke: bool) -> Report {
+    let sweep = if smoke {
+        IngestSweep::smoke()
+    } else {
+        IngestSweep::full()
+    };
+    let results = run_sweep(&sweep);
+    let head = Row::new()
+        .str(Json, "schema", "wave-bench/ingest/v1")
+        .u64(Json, "window", sweep.window as u64)
+        .u64(Json, "fan", sweep.fan as u64)
+        .u64(Json, "days", sweep.days as u64)
+        .u64(Json, "articles_per_day", sweep.articles_per_day as u64)
+        .u64(Json, "words_per_article", sweep.words_per_article as u64)
+        .u64(Json, "vocab", sweep.vocab as u64)
+        .u64(Json, "spill_entries", sweep.spill_entries as u64)
+        .u64(Json, "spill_days", sweep.spill_days as u64)
+        .u64(Json, "probe_values", sweep.probe_values as u64)
+        .u64(Json, "seed", sweep.seed)
+        .f64(Json, "min_del_speedup", sweep.min_del_speedup);
+    let case = |r: &IngestResult| {
+        Row::new()
+            .str(Table, "scheme", r.scheme)
+            .str(Table, "technique", r.technique)
+            .u64(Json, "entries", r.entries)
+            .f64(Json, "unbuffered_seconds", r.unbuffered_seconds)
+            .f64(Json, "buffered_seconds", r.buffered_seconds)
+            .f64(Table, "speedup", r.speedup())
+            .u64(Table, "spills", r.spills)
+            .u64(Json, "spilled_entries", r.spilled_entries)
+            .u64(Table, "buffered_adds", r.buffered_adds)
+            .u64(Table, "pending_at_end", r.pending_at_end)
+            .u64(Json, "probe_entries", r.probe_entries)
+    };
+    Report {
+        head,
+        cases: Some(results.iter().map(case).collect()),
+        violations: check(&results, sweep.min_del_speedup),
+        pass: format!(
+            "buffered never slower; DEL daily transitions ≥ {:.1}x faster under buffering",
+            sweep.min_del_speedup
+        ),
     }
-    out.push_str("]}");
-    out
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use wave_obs::json;
 
     #[test]
     fn smoke_sweep_meets_the_amortization_bounds() {
         let sweep = IngestSweep::smoke();
         let results = run_sweep(&sweep);
         assert_eq!(results.len(), sweep.schemes.len() * 3);
-        check(&results, sweep.min_del_speedup).unwrap_or_else(|bad| panic!("{}", bad.join("\n")));
+        assert_eq!(check(&results, sweep.min_del_speedup), Vec::<String>::new());
         for r in &results {
             assert!(r.entries > 0, "{r:?}");
             assert!(r.unbuffered_seconds > 0.0, "{r:?}");
@@ -424,32 +426,6 @@ mod tests {
             results.iter().any(|r| r.spills > 0),
             "no row spilled; thresholds too loose for the smoke scale"
         );
-    }
-
-    #[test]
-    fn json_document_is_parseable_per_case() {
-        let sweep = IngestSweep::smoke();
-        let results = run_sweep(&sweep);
-        let doc = render_json(&sweep, &results);
-        assert!(doc.starts_with('{') && doc.ends_with("]}"));
-        assert!(doc.contains("\"schema\":\"wave-bench/ingest/v1\""));
-        let cases = doc.split("\"cases\":[").nth(1).unwrap();
-        let cases = &cases[..cases.len() - 2];
-        for case in cases.split("},{") {
-            let case = if case.starts_with('{') {
-                case.to_string()
-            } else {
-                format!("{{{case}")
-            };
-            let case = if case.ends_with('}') {
-                case
-            } else {
-                format!("{case}}}")
-            };
-            let map = json::parse_flat(&case).unwrap_or_else(|| panic!("bad case {case}"));
-            assert!(map.contains_key("speedup"));
-            assert!(map.contains_key("spills"));
-        }
     }
 
     #[test]
@@ -466,14 +442,14 @@ mod tests {
             pending_at_end: 20,
             probe_entries: 40,
         };
-        assert!(check(std::slice::from_ref(&good), 2.0).is_ok());
+        assert!(check(std::slice::from_ref(&good), 2.0).is_empty());
 
         let mut slow_del = good.clone();
         slow_del.buffered_seconds = 3.0;
         let mut regressed = good.clone();
         regressed.scheme = "REINDEX";
         regressed.buffered_seconds = 8.0;
-        let err = check(&[slow_del, regressed], 2.0).unwrap_err();
+        let err = check(&[slow_del, regressed], 2.0);
         assert_eq!(err.len(), 2, "{err:?}");
         assert!(err[0].contains("need 2.0x"), "{}", err[0]);
         assert!(err[1].contains("regressed"), "{}", err[1]);

@@ -15,17 +15,19 @@
 //! Both runs must produce bit-identical simulated-time reports —
 //! observability is not allowed to perturb the engine — and the
 //! traced run's **wall-clock** median may exceed the baseline's by at
-//! most [`ObsSweep::max_overhead`]. `wavectl bench-obs` drives this
-//! and writes `BENCH_obs.json` (schema in EXPERIMENTS.md).
+//! most [`ObsSweep::max_overhead`]. `wavectl bench obs` drives this
+//! and writes `BENCH_obs.json` (fields in EXPERIMENTS.md).
 
 use std::sync::Arc;
 use std::time::Instant;
 
 use wave_index::prelude::*;
 use wave_index::schemes::SchemeKind;
-use wave_obs::json::JsonObject;
 use wave_obs::{FlightConfig, FlightRecorder, Obs};
 use wave_workloads::{ArticleGenerator, QueryMix};
+
+use crate::suite::Show::{Json, Table};
+use crate::suite::{Report, Row};
 
 /// Configuration of one observability-overhead sweep.
 #[derive(Debug, Clone)]
@@ -206,7 +208,7 @@ pub fn run_sweep(sweep: &ObsSweep) -> ObsResult {
 /// Verifies the acceptance bounds: the traced run stayed within
 /// `max_overhead` of the baseline, and it demonstrably traced (a
 /// recorder that saw no traces would make the bound vacuous).
-pub fn check(result: &ObsResult, max_overhead: f64) -> Result<(), Vec<String>> {
+pub fn check(result: &ObsResult, max_overhead: f64) -> Vec<String> {
     let mut bad = Vec::new();
     if result.overhead() > max_overhead {
         bad.push(format!(
@@ -220,41 +222,52 @@ pub fn check(result: &ObsResult, max_overhead: f64) -> Result<(), Vec<String>> {
     if result.traces_completed == 0 {
         bad.push("the flight recorder completed no traces — the bound is vacuous".to_string());
     }
-    if bad.is_empty() {
-        Ok(())
-    } else {
-        Err(bad)
-    }
+    bad
 }
 
-/// Renders the sweep as the `BENCH_obs.json` document (schema
-/// documented in EXPERIMENTS.md).
-pub fn render_json(sweep: &ObsSweep, result: &ObsResult) -> String {
-    let mut o = JsonObject::new();
-    o.str("schema", "wave-bench/obs/v1")
-        .u64("window", sweep.window as u64)
-        .u64("fan", sweep.fan as u64)
-        .u64("days", sweep.days as u64)
-        .u64("articles_per_day", sweep.articles_per_day as u64)
-        .u64("words_per_article", sweep.words_per_article as u64)
-        .u64("vocab", sweep.vocab as u64)
-        .u64("repetitions", sweep.repetitions as u64)
-        .u64("seed", sweep.seed)
-        .f64("max_overhead", sweep.max_overhead)
-        .u64("baseline_us", result.baseline_us)
-        .u64("traced_us", result.traced_us)
-        .f64("overhead", result.overhead())
-        .f64("sim_seconds", result.sim_seconds)
-        .u64("traces_completed", result.traces_completed)
-        .u64("traces_promoted", result.traces_promoted)
-        .u64("traces_evicted", result.traces_evicted);
-    o.finish()
+/// Runs the smoke or full sweep and reports it. The document is one
+/// flat object — the sweep parameters followed by the result — so the
+/// head carries both and the table is its single line
+/// (`BENCH_obs.json`, fields documented in EXPERIMENTS.md).
+pub fn report(smoke: bool) -> Report {
+    let sweep = if smoke {
+        ObsSweep::smoke()
+    } else {
+        ObsSweep::full()
+    };
+    let result = run_sweep(&sweep);
+    let head = Row::new()
+        .str(Json, "schema", "wave-bench/obs/v1")
+        .u64(Json, "window", sweep.window as u64)
+        .u64(Json, "fan", sweep.fan as u64)
+        .u64(Json, "days", sweep.days as u64)
+        .u64(Json, "articles_per_day", sweep.articles_per_day as u64)
+        .u64(Json, "words_per_article", sweep.words_per_article as u64)
+        .u64(Json, "vocab", sweep.vocab as u64)
+        .u64(Json, "repetitions", sweep.repetitions as u64)
+        .u64(Json, "seed", sweep.seed)
+        .f64(Json, "max_overhead", sweep.max_overhead)
+        .u64(Table, "baseline_us", result.baseline_us)
+        .u64(Table, "traced_us", result.traced_us)
+        .f64(Table, "overhead", result.overhead())
+        .f64(Json, "sim_seconds", result.sim_seconds)
+        .u64(Table, "traces_completed", result.traces_completed)
+        .u64(Json, "traces_promoted", result.traces_promoted)
+        .u64(Json, "traces_evicted", result.traces_evicted);
+    Report {
+        head,
+        cases: None,
+        violations: check(&result, sweep.max_overhead),
+        pass: format!(
+            "tracing + flight recorder + SLOs within {:.0}% of the untraced run",
+            sweep.max_overhead * 100.0
+        ),
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use wave_obs::json;
 
     #[test]
     fn smoke_sweep_traces_without_perturbing_the_engine() {
@@ -263,27 +276,6 @@ mod tests {
         assert!(result.sim_seconds > 0.0, "{result:?}");
         assert!(result.traces_completed > 0, "{result:?}");
         assert!(result.baseline_us > 0 && result.traced_us > 0, "{result:?}");
-    }
-
-    #[test]
-    fn json_document_is_parseable() {
-        let sweep = ObsSweep::smoke();
-        let result = ObsResult {
-            baseline_us: 1000,
-            traced_us: 1030,
-            sim_seconds: 1.5,
-            traces_completed: 7,
-            traces_promoted: 0,
-            traces_evicted: 0,
-        };
-        let doc = render_json(&sweep, &result);
-        let map = json::parse_flat(&doc).expect("flat JSON");
-        assert_eq!(
-            map.get("schema").and_then(json::JsonValue::as_str),
-            Some("wave-bench/obs/v1")
-        );
-        assert!((result.overhead() - 0.03).abs() < 1e-9);
-        assert!(map.contains_key("overhead"));
     }
 
     #[test]
@@ -296,16 +288,17 @@ mod tests {
             traces_promoted: 0,
             traces_evicted: 0,
         };
-        assert!(check(&good, 0.05).is_ok());
+        assert!((good.overhead() - 0.03).abs() < 1e-9);
+        assert!(check(&good, 0.05).is_empty());
 
         let mut slow = good.clone();
         slow.traced_us = 1200;
-        let err = check(&slow, 0.05).unwrap_err();
+        let err = check(&slow, 0.05);
         assert!(err[0].contains("overhead"), "{err:?}");
 
         let mut vacuous = good.clone();
         vacuous.traces_completed = 0;
-        let err = check(&vacuous, 0.05).unwrap_err();
+        let err = check(&vacuous, 0.05);
         assert!(err[0].contains("vacuous"), "{err:?}");
     }
 }

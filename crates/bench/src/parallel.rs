@@ -16,7 +16,7 @@
 //! 4. checks the answers are byte-identical and the measured speedup
 //!    tracks the analytic prediction within tolerance.
 //!
-//! `wavectl bench-parallel` drives this and writes the results as
+//! `wavectl bench parallel` drives this and writes the results as
 //! `BENCH_parallel.json` (schema documented in EXPERIMENTS.md).
 
 use wave_index::parallel::{probe_detailed, scan_detailed, ArmMap, PlacementStrategy};
@@ -24,10 +24,12 @@ use wave_index::prelude::*;
 use wave_index::schemes::SchemeKind;
 use wave_index::server::{ServerConfig, WaveServer};
 use wave_index::{ConstituentIndex, Entry};
-use wave_obs::json::JsonObject;
 use wave_obs::{Obs, SplitMix64};
 use wave_storage::DiskArray;
 use wave_workloads::ArticleGenerator;
+
+use crate::suite::Show::{Json, Table};
+use crate::suite::{Report, Row};
 
 /// Configuration of one parallel sweep.
 #[derive(Debug, Clone)]
@@ -364,9 +366,9 @@ fn run_cell(
 
 /// Verifies the acceptance bound: for the uniform probe mix and every
 /// `k ≥ 2`, the measured speedup is within `tolerance` of the
-/// analytic prediction. Returns the offending cells otherwise.
-pub fn check(results: &[MixResult], tolerance: f64) -> Result<(), Vec<String>> {
-    let bad: Vec<String> = results
+/// analytic prediction. Returns the offending cells.
+pub fn check(results: &[MixResult], tolerance: f64) -> Vec<String> {
+    results
         .iter()
         .filter(|r| r.mix == "uniform-probe" && r.arms >= 2 && r.deviation() > tolerance)
         .map(|r| {
@@ -380,60 +382,60 @@ pub fn check(results: &[MixResult], tolerance: f64) -> Result<(), Vec<String>> {
                 tolerance * 100.0
             )
         })
-        .collect();
-    if bad.is_empty() {
-        Ok(())
-    } else {
-        Err(bad)
-    }
+        .collect()
 }
 
-/// Renders the sweep as the `BENCH_parallel.json` document: a
-/// top-level object with the sweep parameters and one flat object per
-/// cell (schema documented in EXPERIMENTS.md).
-pub fn render_json(sweep: &ParallelSweep, results: &[MixResult]) -> String {
-    let mut head = JsonObject::new();
-    head.str("schema", "wave-bench/parallel/v1")
-        .u64("window", sweep.window as u64)
-        .u64("fan", sweep.fan as u64)
-        .u64("articles_per_day", sweep.articles_per_day as u64)
-        .u64("words_per_article", sweep.words_per_article as u64)
-        .u64("vocab", sweep.vocab as u64)
-        .u64("probes", sweep.probes as u64)
-        .u64("scans", sweep.scans as u64)
-        .u64("seed", sweep.seed)
-        .f64("tolerance", sweep.tolerance);
-    let head = head.finish();
-    let mut out = String::new();
-    out.push_str(&head[..head.len() - 1]); // reopen the object
-    out.push_str(",\"cases\":[");
-    for (i, r) in results.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        let mut o = JsonObject::new();
-        o.str("scheme", r.scheme)
-            .str("mix", r.mix)
-            .u64("arms", r.arms as u64)
-            .u64("queries", r.queries as u64)
-            .u64("entries", r.entries)
-            .f64("measured_serial_seconds", r.measured_serial)
-            .f64("measured_elapsed_seconds", r.measured_elapsed)
-            .f64("measured_speedup", r.measured_speedup())
-            .f64("analytic_serial_seconds", r.analytic_serial)
-            .f64("analytic_parallel_seconds", r.analytic_parallel)
-            .f64("analytic_speedup", r.analytic_speedup())
-            .f64("deviation", r.deviation());
-        out.push_str(&o.finish());
+/// Runs the smoke or full sweep and reports it: the sweep parameters,
+/// one row per scheme × mix × arm-count cell, and the [`check`]
+/// verdict (`BENCH_parallel.json`, columns documented in
+/// EXPERIMENTS.md).
+pub fn report(smoke: bool) -> Report {
+    let sweep = if smoke {
+        ParallelSweep::smoke()
+    } else {
+        ParallelSweep::full()
+    };
+    let results = run_sweep(&sweep);
+    let head = Row::new()
+        .str(Json, "schema", "wave-bench/parallel/v1")
+        .u64(Json, "window", sweep.window as u64)
+        .u64(Json, "fan", sweep.fan as u64)
+        .u64(Json, "articles_per_day", sweep.articles_per_day as u64)
+        .u64(Json, "words_per_article", sweep.words_per_article as u64)
+        .u64(Json, "vocab", sweep.vocab as u64)
+        .u64(Json, "probes", sweep.probes as u64)
+        .u64(Json, "scans", sweep.scans as u64)
+        .u64(Json, "seed", sweep.seed)
+        .f64(Json, "tolerance", sweep.tolerance);
+    let case = |r: &MixResult| {
+        Row::new()
+            .str(Table, "scheme", r.scheme)
+            .str(Table, "mix", r.mix)
+            .u64(Table, "arms", r.arms as u64)
+            .u64(Json, "queries", r.queries as u64)
+            .u64(Json, "entries", r.entries)
+            .f64(Json, "measured_serial_seconds", r.measured_serial)
+            .f64(Json, "measured_elapsed_seconds", r.measured_elapsed)
+            .f64(Table, "measured_speedup", r.measured_speedup())
+            .f64(Json, "analytic_serial_seconds", r.analytic_serial)
+            .f64(Json, "analytic_parallel_seconds", r.analytic_parallel)
+            .f64(Table, "analytic_speedup", r.analytic_speedup())
+            .f64(Table, "deviation", r.deviation())
+    };
+    Report {
+        head,
+        cases: Some(results.iter().map(case).collect()),
+        violations: check(&results, sweep.tolerance),
+        pass: format!(
+            "uniform-probe speedups within {:.0}% of the analytic predictions",
+            sweep.tolerance * 100.0
+        ),
     }
-    out.push_str("]}");
-    out
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use wave_obs::json;
 
     #[test]
     fn smoke_sweep_tracks_predictions() {
@@ -441,7 +443,7 @@ mod tests {
         let results = run_sweep(&sweep);
         // 2 schemes × 3 mixes × 2 arm counts.
         assert_eq!(results.len(), 12);
-        check(&results, sweep.tolerance).unwrap_or_else(|bad| panic!("{}", bad.join("\n")));
+        assert_eq!(check(&results, sweep.tolerance), Vec::<String>::new());
         // k=1 always degenerates to no speedup, measured and
         // predicted alike.
         for r in results.iter().filter(|r| r.arms == 1) {
@@ -454,33 +456,6 @@ mod tests {
             .find(|r| r.arms == 2 && r.mix == "uniform-probe")
             .unwrap();
         assert!(r.measured_speedup() > 1.2, "{}", r.measured_speedup());
-    }
-
-    #[test]
-    fn json_document_is_parseable_per_case() {
-        let sweep = ParallelSweep::smoke();
-        let results = run_sweep(&sweep);
-        let doc = render_json(&sweep, &results);
-        assert!(doc.starts_with('{') && doc.ends_with("]}"));
-        assert!(doc.contains("\"schema\":\"wave-bench/parallel/v1\""));
-        // Each case is a flat object our own parser can read back.
-        let cases = doc.split("\"cases\":[").nth(1).unwrap();
-        let cases = &cases[..cases.len() - 2];
-        for case in cases.split("},{") {
-            let case = if case.starts_with('{') {
-                case.to_string()
-            } else {
-                format!("{{{case}")
-            };
-            let case = if case.ends_with('}') {
-                case
-            } else {
-                format!("{case}}}")
-            };
-            let map = json::parse_flat(&case).unwrap_or_else(|| panic!("bad case {case}"));
-            assert!(map.contains_key("measured_speedup"));
-            assert!(map.contains_key("analytic_speedup"));
-        }
     }
 
     #[test]
@@ -498,8 +473,8 @@ mod tests {
         };
         let mut bad = good.clone();
         bad.measured_elapsed = 2.0; // measured 1x vs predicted 2x
-        assert!(check(std::slice::from_ref(&good), 0.15).is_ok());
-        let err = check(&[good, bad], 0.15).unwrap_err();
+        assert!(check(std::slice::from_ref(&good), 0.15).is_empty());
+        let err = check(&[good, bad], 0.15);
         assert_eq!(err.len(), 1);
         assert!(err[0].contains("k=2"), "{}", err[0]);
     }

@@ -26,12 +26,7 @@
 //! wavectl trace-tree FILE
 //! wavectl flight dump [--threshold-us N] [--out FILE]
 //! wavectl slo [--json]
-//! wavectl bench-parallel [--smoke] [--out FILE]
-//! wavectl bench-batch [--smoke] [--out FILE]
-//! wavectl bench-filter [--smoke] [--out FILE]
-//! wavectl bench-obs [--smoke] [--out FILE]
-//! wavectl bench-ingest [--smoke] [--out FILE]
-//! wavectl chaos [--smoke] [--out FILE]
+//! wavectl bench <parallel|batch|filter|obs|ingest|chaos|all> [--smoke] [--out-dir DIR]
 //! ```
 //!
 //! Besides the replayable day files, `add` also *commits* the rebuilt
@@ -45,30 +40,6 @@
 //! tracing on and emits the JSONL event stream (see DESIGN.md
 //! "Observability"); `report` folds such a stream back into a
 //! per-phase summary table.
-//!
-//! `bench-parallel` runs the multi-disk throughput sweep (paper
-//! Section 8): every scheme × query mix × arm count, measured on a
-//! live [`wave_index::WaveServer`] over a [`wave_storage::DiskArray`]
-//! and checked against the analytic placement predictions. The full
-//! document lands in `BENCH_parallel.json` (see EXPERIMENTS.md
-//! "Reproducing the parallel speedup curve").
-//!
-//! `bench-batch` runs the batched-I/O sweep: for every scheme's
-//! partition it measures the bulk-build fast path against
-//! entry-at-a-time indexing and one batched probe
-//! ([`wave_index::WaveIndex::query_batch`]) against per-value probes,
-//! asserting byte-identical answers along the way. The full document
-//! lands in `BENCH_batch.json` (see EXPERIMENTS.md "Reproducing the
-//! batching speedup").
-//!
-//! `bench-filter` runs the probe-pruning sweep: for every scheme's
-//! partition it replays a Zipf-skewed probe mix (hot vocabulary words
-//! plus never-indexed ghosts) against filtered and unfiltered twin
-//! waves, asserting byte-identical answers while measuring the seeks
-//! the membership filters and covering entries elide (see DESIGN.md
-//! "Probe pruning & covering buckets"). The full document lands in
-//! `BENCH_filter.json` (see EXPERIMENTS.md "Reproducing the
-//! probe-pruning speedup").
 //!
 //! `trace-tree` reconstructs a JSONL trace (from `wavectl trace
 //! --out` or a flight dump) into causal trees: every span carries its
@@ -88,28 +59,20 @@
 //! carrying an exemplar trace id. `--json` emits the machine-readable
 //! `wave-obs/slo/v1` document.
 //!
-//! `bench-obs` measures the wall-clock overhead of tracing + flight
-//! recorder + SLOs against the same run with tracing disabled; the
-//! full document lands in `BENCH_obs.json` (see EXPERIMENTS.md
-//! "Reproducing the observability overhead bound").
-//!
-//! `bench-ingest` runs the amortized-write-path sweep: for every
-//! scheme × update technique it drives twin waves over one seeded
-//! article workload — one applying every add/delete directly, one
-//! buffering them in the ingest tier (see DESIGN.md "Buffered
-//! ingest") — asserting byte-identical answers on both while
-//! measuring the daily-transition time each spends. The full document
-//! lands in `BENCH_ingest.json` (see EXPERIMENTS.md "Reproducing the
-//! amortized write path").
-//!
-//! `chaos` runs the deterministic chaos soak (see DESIGN.md "Fault
-//! tolerance & degraded serving"): for every scheme, concurrent
-//! readers and maintenance epochs race a seeded schedule of worker
-//! kills, transient read bursts, and arm quarantines on a live
-//! [`wave_index::WaveServer`]; every completed answer is checked
-//! against a single-threaded oracle, every request must resolve
-//! (whole, typed partial, or typed error), and the server must heal
-//! and shut down leak-free. The report lands in `BENCH_chaos.json`.
+//! `bench` runs one of the six evaluation suites of `wave-bench` (or
+//! `all` of them) at its full preset, or its CI-sized `--smoke`
+//! preset, prints the suite's table, and writes the full document to
+//! `DIR/BENCH_<suite>.json` (default `.`). Every suite states a bound;
+//! a violated one fails the command — exit status non-zero — after
+//! the document is written and the table printed. What each suite
+//! measures is documented once, on its module: `parallel` (measured
+//! multi-arm speedups vs the analytic placement model), `batch` (bulk
+//! build and batched probes vs one request at a time), `filter`
+//! (seeks saved by membership filters and covering buckets), `obs`
+//! (wall-clock overhead of tracing), `ingest` (buffered vs direct
+//! daily transitions) and `chaos` (the fault-injection soak against a
+//! single-threaded oracle). Expected numbers are in EXPERIMENTS.md
+//! "Running a sweep".
 
 use std::fmt;
 use std::fs;
@@ -138,8 +101,10 @@ pub enum CliError {
     Index(wave_index::IndexError),
     /// Propagated I/O failure.
     Io(std::io::Error),
-    /// `wavectl lint` found violations; the string is the full report.
-    Lint(String),
+    /// A gate (`lint`, `bench`) ran to completion and failed: the
+    /// string is its full report, which still belongs on stdout; the
+    /// name says which gate.
+    Failed(&'static str, String),
 }
 
 impl fmt::Display for CliError {
@@ -149,7 +114,7 @@ impl fmt::Display for CliError {
             CliError::State(msg) => write!(f, "state error: {msg}"),
             CliError::Index(e) => write!(f, "index error: {e}"),
             CliError::Io(e) => write!(f, "io error: {e}"),
-            CliError::Lint(report) => write!(f, "lint failed\n{report}"),
+            CliError::Failed(what, report) => write!(f, "{what} failed\n{report}"),
         }
     }
 }
@@ -442,7 +407,7 @@ fn parse_range(args: &[String]) -> Result<TimeRange, CliError> {
 /// Runs one CLI invocation; returns the text to print.
 pub fn run(args: &[String]) -> Result<String, CliError> {
     let usage =
-        "usage: wavectl <init|add|query|scan|status|fsck|recover|trace|report|trace-tree|flight|slo|bench-parallel|bench-batch|bench-filter|bench-obs|bench-ingest|chaos|lint> …";
+        "usage: wavectl <init|add|query|scan|status|fsck|recover|trace|report|trace-tree|flight|slo|bench|lint> …";
     let command = args.first().ok_or_else(|| CliError::Usage(usage.into()))?;
     match command.as_str() {
         "trace" => return cmd_trace(&args[1..]),
@@ -450,12 +415,7 @@ pub fn run(args: &[String]) -> Result<String, CliError> {
         "trace-tree" => return cmd_trace_tree(&args[1..]),
         "flight" => return cmd_flight(&args[1..]),
         "slo" => return cmd_slo(&args[1..]),
-        "bench-parallel" => return cmd_bench_parallel(&args[1..]),
-        "bench-batch" => return cmd_bench_batch(&args[1..]),
-        "bench-filter" => return cmd_bench_filter(&args[1..]),
-        "bench-obs" => return cmd_bench_obs(&args[1..]),
-        "bench-ingest" => return cmd_bench_ingest(&args[1..]),
-        "chaos" => return cmd_chaos(&args[1..]),
+        "bench" => return cmd_bench(&args[1..]),
         "lint" => return cmd_lint(&args[1..]),
         _ => {}
     }
@@ -946,7 +906,7 @@ fn cmd_lint(args: &[String]) -> Result<String, CliError> {
         return if ok {
             Ok(msg)
         } else {
-            Err(CliError::Lint(msg))
+            Err(CliError::Failed("lint", msg))
         };
     }
     if json {
@@ -955,14 +915,14 @@ fn cmd_lint(args: &[String]) -> Result<String, CliError> {
         return if gate.ok {
             Ok(doc)
         } else {
-            Err(CliError::Lint(doc))
+            Err(CliError::Failed("lint", doc))
         };
     }
     let outcome = wave_lint::run_lint(&root, fix).map_err(CliError::State)?;
     if outcome.ok {
         Ok(outcome.report)
     } else {
-        Err(CliError::Lint(outcome.report))
+        Err(CliError::Failed("lint", outcome.report))
     }
 }
 
@@ -1454,442 +1414,88 @@ fn cmd_slo(args: &[String]) -> Result<String, CliError> {
     run_slo(json)
 }
 
-/// Runs the parallel throughput sweep and renders its summary table.
-/// Split from the flag parsing so tests can exercise it directly.
-pub fn run_bench_parallel(smoke: bool, out_path: &Path) -> Result<String, CliError> {
-    use wave_bench::parallel::{check, render_json, run_sweep, ParallelSweep};
-
-    let sweep = if smoke {
-        ParallelSweep::smoke()
-    } else {
-        ParallelSweep::full()
-    };
-    let results = run_sweep(&sweep);
-    fs::write(out_path, render_json(&sweep, &results))?;
-
-    let mut out = format!(
-        "{:<10} {:<14} {:>4} {:>10} {:>10} {:>9}\n",
-        "scheme", "mix", "arms", "measured", "analytic", "deviation"
+/// `wavectl bench <suite|all> [--smoke] [--out-dir DIR]`: runs one
+/// evaluation suite (or all six, in `wave_bench::SUITES` order) at its
+/// full or `--smoke` preset and writes `DIR/BENCH_<suite>.json`
+/// (default `.`). A violated bound fails the command *after* every
+/// document is written and every table rendered, naming each suite
+/// that violated.
+fn cmd_bench(args: &[String]) -> Result<String, CliError> {
+    let names = wave_bench::SUITES.map(|(name, _)| name);
+    let usage = format!(
+        "usage: wavectl bench <{}|all> [--smoke] [--out-dir DIR]",
+        names.join("|")
     );
-    for r in &results {
-        out.push_str(&format!(
-            "{:<10} {:<14} {:>4} {:>9.2}x {:>9.2}x {:>8.1}%\n",
-            r.scheme,
-            r.mix,
-            r.arms,
-            r.measured_speedup(),
-            r.analytic_speedup(),
-            r.deviation() * 100.0
-        ));
-    }
-    out.push_str(&format!("wrote {}\n", out_path.display()));
-    match check(&results, sweep.tolerance) {
-        Ok(()) => {
-            out.push_str(&format!(
-                "uniform-probe speedups within {:.0}% of the analytic predictions\n",
-                sweep.tolerance * 100.0
-            ));
-            Ok(out)
-        }
-        Err(violations) => Err(CliError::State(format!(
-            "speedup deviates from the analytic prediction:\n  {}",
-            violations.join("\n  ")
-        ))),
-    }
-}
-
-/// Runs the deterministic chaos soak and renders the per-scheme
-/// survival report. Split from the flag parsing so tests can exercise
-/// it directly. The soak itself panics on any invariant violation (a
-/// wrong or silently-partial answer, a failure to heal, a storage
-/// leak); reaching the rendered table means every completed answer
-/// matched the single-threaded oracle.
-pub fn run_chaos(smoke: bool, out_path: &Path) -> Result<String, CliError> {
-    use wave_bench::chaos::{render_json, run_soak, ChaosSoak};
-
-    let soak = if smoke {
-        ChaosSoak::smoke()
-    } else {
-        ChaosSoak::full()
-    };
-    let reports = run_soak(&soak);
-    fs::write(out_path, render_json(&soak, &reports))?;
-
-    let mut out = format!(
-        "{:<10} {:>5} {:>8} {:>7} {:>7} {:>9} {:>6} {:>6} {:>5} {:>9} {:>6} {:>8}\n",
-        "scheme",
-        "slots",
-        "ok",
-        "partial",
-        "errors",
-        "maintains",
-        "kills",
-        "bursts",
-        "quar",
-        "restarts",
-        "trips",
-        "retries"
-    );
-    for r in &reports {
-        out.push_str(&format!(
-            "{:<10} {:>5} {:>8} {:>7} {:>7} {:>7}/{:<1} {:>6} {:>6} {:>5} {:>9} {:>6} {:>8}\n",
-            r.scheme,
-            r.slots,
-            r.ok,
-            r.partial,
-            r.errors,
-            r.maintains_ok,
-            r.maintains_err,
-            r.kills,
-            r.bursts,
-            r.quarantines,
-            r.worker_restarts,
-            r.breaker_trips,
-            r.read_retries
-        ));
-    }
-    out.push_str(&format!("wrote {}\n", out_path.display()));
-    out.push_str(
-        "every completed answer matched the single-threaded oracle; \
-         all arms healed and shut down leak-free\n",
-    );
-    Ok(out)
-}
-
-fn cmd_chaos(args: &[String]) -> Result<String, CliError> {
-    let usage = "usage: wavectl chaos [--smoke] [--out FILE]";
+    let mut which = None;
     let mut smoke = false;
-    let mut out_path = PathBuf::from("BENCH_chaos.json");
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--smoke" => {
-                smoke = true;
-                i += 1;
-            }
-            "--out" => {
-                out_path = PathBuf::from(
-                    args.get(i + 1)
-                        .ok_or_else(|| CliError::Usage("--out needs a value".into()))?,
+    let mut out_dir = PathBuf::from(".");
+    let mut it = args.iter();
+    while let Some(arg) = it.next() {
+        match arg.as_str() {
+            "--smoke" => smoke = true,
+            "--out-dir" => {
+                out_dir = PathBuf::from(
+                    it.next()
+                        .ok_or_else(|| CliError::Usage("--out-dir needs a value".into()))?,
                 );
-                i += 2;
             }
-            other => return Err(CliError::Usage(format!("unknown flag {other:?}; {usage}"))),
+            flag if flag.starts_with('-') => {
+                return Err(CliError::Usage(format!("unknown flag {flag:?}; {usage}")))
+            }
+            name => which = Some(name),
         }
     }
-    run_chaos(smoke, &out_path)
-}
-
-/// Runs the batched-I/O sweep and renders its summary table. Split
-/// from the flag parsing so tests can exercise it directly.
-pub fn run_bench_batch(smoke: bool, out_path: &Path) -> Result<String, CliError> {
-    use wave_bench::batch::{check, render_json, run_sweep, BatchSweep};
-
-    let sweep = if smoke {
-        BatchSweep::smoke()
+    let which = which.ok_or_else(|| CliError::Usage(usage.clone()))?;
+    let chosen: Vec<_> = wave_bench::SUITES
+        .iter()
+        .filter(|(name, _)| which == "all" || which == *name)
+        .collect();
+    if chosen.is_empty() {
+        return Err(CliError::Usage(format!("unknown suite {which:?}; {usage}")));
+    }
+    fs::create_dir_all(&out_dir)?;
+    let mut out = String::new();
+    let mut violated = Vec::new();
+    for &(name, run) in chosen {
+        match emit_bench(name, &run(smoke), &out_dir) {
+            Ok(block) => out.push_str(&block),
+            Err(CliError::Failed(_, block)) => {
+                out.push_str(&block);
+                violated.push(name);
+            }
+            Err(e) => return Err(e),
+        }
+    }
+    if violated.is_empty() {
+        Ok(out)
     } else {
-        BatchSweep::full()
-    };
-    let results = run_sweep(&sweep);
-    fs::write(out_path, render_json(&sweep, &results))?;
+        out.push_str(&format!("violated: {}\n", violated.join(", ")));
+        Err(CliError::Failed("bench", out))
+    }
+}
 
-    let mut out = format!(
-        "{:<10} {:>10} {:>11} {:>11} {:>8} {:>7}\n",
-        "scheme", "build", "query", "merged", "seeks-", "bulk"
+/// Writes one suite's document to `out_dir/BENCH_<suite>.json` and
+/// renders its console block — table, `wrote …`, verdict. A report
+/// with violations comes back as [`CliError::Failed`] carrying the
+/// same block, so the table a bound failed on is never dropped.
+fn emit_bench(
+    suite: &str,
+    report: &wave_bench::Report,
+    out_dir: &Path,
+) -> Result<String, CliError> {
+    let path = out_dir.join(format!("BENCH_{suite}.json"));
+    fs::write(&path, report.to_json())?;
+    let block = format!(
+        "{}wrote {}\n{}",
+        report.to_table(),
+        path.display(),
+        report.verdict()
     );
-    out.push_str(&format!(
-        "{:<10} {:>10} {:>11} {:>11} {:>8} {:>7}\n",
-        "", "speedup", "speedup", "requests", "saved", "pages"
-    ));
-    for r in &results {
-        out.push_str(&format!(
-            "{:<10} {:>9.2}x {:>10.2}x {:>11} {:>8} {:>7}\n",
-            r.scheme,
-            r.build_speedup(),
-            r.query_speedup(),
-            r.requests_merged,
-            r.seeks_saved,
-            r.bulk_pages
-        ));
-    }
-    out.push_str(&format!("wrote {}\n", out_path.display()));
-    match check(&results, sweep.min_build_speedup) {
-        Ok(()) => {
-            out.push_str(&format!(
-                "batched probes never slower; REINDEX bulk build ≥ {:.1}x entry-at-a-time\n",
-                sweep.min_build_speedup
-            ));
-            Ok(out)
-        }
-        Err(violations) => Err(CliError::State(format!(
-            "batching bounds violated:\n  {}",
-            violations.join("\n  ")
-        ))),
-    }
-}
-
-fn cmd_bench_batch(args: &[String]) -> Result<String, CliError> {
-    let usage = "usage: wavectl bench-batch [--smoke] [--out FILE]";
-    let mut smoke = false;
-    let mut out_path = PathBuf::from("BENCH_batch.json");
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--smoke" => {
-                smoke = true;
-                i += 1;
-            }
-            "--out" => {
-                out_path = PathBuf::from(
-                    args.get(i + 1)
-                        .ok_or_else(|| CliError::Usage("--out needs a value".into()))?,
-                );
-                i += 2;
-            }
-            other => return Err(CliError::Usage(format!("unknown flag {other:?}; {usage}"))),
-        }
-    }
-    run_bench_batch(smoke, &out_path)
-}
-
-/// Runs the probe-pruning sweep and renders its summary table. Split
-/// from the flag parsing so tests can exercise it directly. Answer
-/// byte-identity is asserted inside the sweep; the check here is the
-/// quantitative one — seeks saved and false-positive rate.
-pub fn run_bench_filter(smoke: bool, out_path: &Path) -> Result<String, CliError> {
-    use wave_bench::filter::{check, render_json, run_sweep, FilterSweep};
-
-    let sweep = if smoke {
-        FilterSweep::smoke()
+    if report.violations.is_empty() {
+        Ok(block)
     } else {
-        FilterSweep::full()
-    };
-    let results = run_sweep(&sweep);
-    fs::write(out_path, render_json(&sweep, &results))?;
-
-    let mut out = format!(
-        "{:<10} {:>11} {:>11} {:>7} {:>8} {:>7} {:>8} {:>8}\n",
-        "scheme", "seeks/q", "seeks/q", "saved", "covered", "skips", "false+", "fp_rate"
-    );
-    out.push_str(&format!(
-        "{:<10} {:>11} {:>11}\n",
-        "", "unfiltered", "filtered"
-    ));
-    for r in &results {
-        out.push_str(&format!(
-            "{:<10} {:>11.3} {:>11.3} {:>6.1}% {:>8} {:>7} {:>8} {:>7.3}\n",
-            r.scheme,
-            r.seeks_per_query_unfiltered(),
-            r.seeks_per_query_filtered(),
-            r.seek_reduction() * 100.0,
-            r.covering_hits,
-            r.filter_skips,
-            r.filter_false_positives,
-            r.fp_rate()
-        ));
+        Err(CliError::Failed("bench", block))
     }
-    out.push_str(&format!("wrote {}\n", out_path.display()));
-    match check(&results, &sweep) {
-        Ok(()) => {
-            out.push_str(&format!(
-                "answers byte-identical; every scheme saves ≥ {:.0}% of seeks on the Zipf mix\n",
-                sweep.min_seek_reduction * 100.0
-            ));
-            Ok(out)
-        }
-        Err(violations) => Err(CliError::State(format!(
-            "probe-pruning bounds violated:\n  {}",
-            violations.join("\n  ")
-        ))),
-    }
-}
-
-fn cmd_bench_filter(args: &[String]) -> Result<String, CliError> {
-    let usage = "usage: wavectl bench-filter [--smoke] [--out FILE]";
-    let mut smoke = false;
-    let mut out_path = PathBuf::from("BENCH_filter.json");
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--smoke" => {
-                smoke = true;
-                i += 1;
-            }
-            "--out" => {
-                out_path = PathBuf::from(
-                    args.get(i + 1)
-                        .ok_or_else(|| CliError::Usage("--out needs a value".into()))?,
-                );
-                i += 2;
-            }
-            other => return Err(CliError::Usage(format!("unknown flag {other:?}; {usage}"))),
-        }
-    }
-    run_bench_filter(smoke, &out_path)
-}
-
-fn cmd_bench_parallel(args: &[String]) -> Result<String, CliError> {
-    let usage = "usage: wavectl bench-parallel [--smoke] [--out FILE]";
-    let mut smoke = false;
-    let mut out_path = PathBuf::from("BENCH_parallel.json");
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--smoke" => {
-                smoke = true;
-                i += 1;
-            }
-            "--out" => {
-                out_path = PathBuf::from(
-                    args.get(i + 1)
-                        .ok_or_else(|| CliError::Usage("--out needs a value".into()))?,
-                );
-                i += 2;
-            }
-            other => return Err(CliError::Usage(format!("unknown flag {other:?}; {usage}"))),
-        }
-    }
-    run_bench_parallel(smoke, &out_path)
-}
-
-/// Runs the observability-overhead sweep and renders its summary.
-/// Split from the flag parsing so tests can exercise it directly.
-pub fn run_bench_obs(smoke: bool, out_path: &Path) -> Result<String, CliError> {
-    use wave_bench::obs::{check, render_json, run_sweep, ObsSweep};
-
-    let sweep = if smoke {
-        ObsSweep::smoke()
-    } else {
-        ObsSweep::full()
-    };
-    let result = run_sweep(&sweep);
-    fs::write(out_path, render_json(&sweep, &result))?;
-
-    let mut out = format!(
-        "{:<10} {:>12} {:>8} {:>9}\n",
-        "mode", "median_us", "traces", "overhead"
-    );
-    out.push_str(&format!(
-        "{:<10} {:>12} {:>8} {:>9}\n",
-        "baseline", result.baseline_us, "-", "-"
-    ));
-    out.push_str(&format!(
-        "{:<10} {:>12} {:>8} {:>8.1}%\n",
-        "traced",
-        result.traced_us,
-        result.traces_completed,
-        result.overhead() * 100.0
-    ));
-    out.push_str(&format!("wrote {}\n", out_path.display()));
-    match check(&result, sweep.max_overhead) {
-        Ok(()) => {
-            out.push_str(&format!(
-                "tracing + flight recorder + SLOs within {:.0}% of the untraced run\n",
-                sweep.max_overhead * 100.0
-            ));
-            Ok(out)
-        }
-        Err(violations) => Err(CliError::State(format!(
-            "observability overhead bounds violated:\n  {}",
-            violations.join("\n  ")
-        ))),
-    }
-}
-
-fn cmd_bench_obs(args: &[String]) -> Result<String, CliError> {
-    let usage = "usage: wavectl bench-obs [--smoke] [--out FILE]";
-    let mut smoke = false;
-    let mut out_path = PathBuf::from("BENCH_obs.json");
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--smoke" => {
-                smoke = true;
-                i += 1;
-            }
-            "--out" => {
-                out_path = PathBuf::from(
-                    args.get(i + 1)
-                        .ok_or_else(|| CliError::Usage("--out needs a value".into()))?,
-                );
-                i += 2;
-            }
-            other => return Err(CliError::Usage(format!("unknown flag {other:?}; {usage}"))),
-        }
-    }
-    run_bench_obs(smoke, &out_path)
-}
-
-/// Runs the amortized-write-path sweep and renders its summary table.
-/// Split from the flag parsing so tests can exercise it directly.
-/// Answer byte-identity between the buffered and unbuffered twins is
-/// asserted inside the sweep; the check here is the quantitative one —
-/// DEL's daily transitions must reach the configured speedup under
-/// buffering, and no scheme may regress.
-pub fn run_bench_ingest(smoke: bool, out_path: &Path) -> Result<String, CliError> {
-    use wave_bench::ingest::{check, render_json, run_sweep, IngestSweep};
-
-    let sweep = if smoke {
-        IngestSweep::smoke()
-    } else {
-        IngestSweep::full()
-    };
-    let results = run_sweep(&sweep);
-    fs::write(out_path, render_json(&sweep, &results))?;
-
-    let mut out = format!(
-        "{:<10} {:<14} {:>9} {:>7} {:>9} {:>9}\n",
-        "scheme", "technique", "speedup", "spills", "buffered", "pending"
-    );
-    for r in &results {
-        out.push_str(&format!(
-            "{:<10} {:<14} {:>8.2}x {:>7} {:>9} {:>9}\n",
-            r.scheme,
-            r.technique,
-            r.speedup(),
-            r.spills,
-            r.buffered_adds,
-            r.pending_at_end
-        ));
-    }
-    out.push_str(&format!("wrote {}\n", out_path.display()));
-    match check(&results, sweep.min_del_speedup) {
-        Ok(()) => {
-            out.push_str(&format!(
-                "buffered never slower; DEL daily transitions ≥ {:.1}x faster under buffering\n",
-                sweep.min_del_speedup
-            ));
-            Ok(out)
-        }
-        Err(violations) => Err(CliError::State(format!(
-            "amortized-write bounds violated:\n  {}",
-            violations.join("\n  ")
-        ))),
-    }
-}
-
-fn cmd_bench_ingest(args: &[String]) -> Result<String, CliError> {
-    let usage = "usage: wavectl bench-ingest [--smoke] [--out FILE]";
-    let mut smoke = false;
-    let mut out_path = PathBuf::from("BENCH_ingest.json");
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--smoke" => {
-                smoke = true;
-                i += 1;
-            }
-            "--out" => {
-                out_path = PathBuf::from(
-                    args.get(i + 1)
-                        .ok_or_else(|| CliError::Usage("--out needs a value".into()))?,
-                );
-                i += 2;
-            }
-            other => return Err(CliError::Usage(format!("unknown flag {other:?}; {usage}"))),
-        }
-    }
-    run_bench_ingest(smoke, &out_path)
 }
 
 #[cfg(test)]
@@ -2277,66 +1883,6 @@ mod tests {
         fs::remove_dir_all(&dir).ok();
     }
 
-    /// `bench-parallel --smoke` writes a parseable BENCH document and
-    /// reports every cell within tolerance.
-    #[test]
-    fn bench_parallel_smoke_writes_json() {
-        let dir = temp_dir();
-        let json_path = dir.join("BENCH_parallel.json");
-        let out = run(&s(&[
-            "bench-parallel",
-            "--smoke",
-            "--out",
-            json_path.to_str().unwrap(),
-        ]))
-        .unwrap();
-        assert!(out.contains("uniform-probe speedups within"), "{out}");
-        assert!(out.contains("scheme"), "{out}");
-        let doc = fs::read_to_string(&json_path).unwrap();
-        assert!(
-            doc.contains("\"schema\":\"wave-bench/parallel/v1\""),
-            "{doc}"
-        );
-        // Every object in the cases array is itself flat JSON.
-        let cases = doc
-            .split_once("\"cases\":[")
-            .expect("document has a cases array")
-            .1
-            .trim_end_matches(['}', ']']);
-        let mut parsed = 0;
-        for case in cases.split("},{") {
-            let case = format!("{{{}}}", case.trim_matches(['{', '}']));
-            assert!(parse_flat(&case).is_some(), "unparseable case: {case}");
-            parsed += 1;
-        }
-        assert!(parsed >= 12, "smoke sweep has 12 cells, parsed {parsed}");
-        let err = run(&s(&["bench-parallel", "--bogus"])).unwrap_err();
-        assert!(matches!(err, CliError::Usage(_)), "{err}");
-        fs::remove_dir_all(&dir).ok();
-    }
-
-    /// `chaos --smoke` soaks two schemes, survives, and writes a
-    /// parseable BENCH document.
-    #[test]
-    fn chaos_smoke_survives_and_writes_json() {
-        let dir = temp_dir();
-        let json_path = dir.join("BENCH_chaos.json");
-        let out = run(&s(&[
-            "chaos",
-            "--smoke",
-            "--out",
-            json_path.to_str().unwrap(),
-        ]))
-        .unwrap();
-        assert!(out.contains("matched the single-threaded oracle"), "{out}");
-        assert!(out.contains("REINDEX"), "{out}");
-        let doc = fs::read_to_string(&json_path).unwrap();
-        assert!(doc.contains("\"schema\":\"wave-bench/chaos/v1\""), "{doc}");
-        let err = run(&s(&["chaos", "--bogus"])).unwrap_err();
-        assert!(matches!(err, CliError::Usage(_)), "{err}");
-        fs::remove_dir_all(&dir).ok();
-    }
-
     /// `report` attributes erroring spans to their arm: `span_end`
     /// lines with an `error` field group by (span, arm).
     #[test]
@@ -2354,76 +1900,6 @@ mod tests {
         assert!(out.contains("arm -"), "{out}");
         // Healthy span ends are not failures.
         assert!(!out.contains("arm 0"), "{out}");
-    }
-
-    /// `bench-batch --smoke` writes a parseable BENCH document and
-    /// reports the batching bounds as met.
-    #[test]
-    fn bench_batch_smoke_writes_json() {
-        let dir = temp_dir();
-        let json_path = dir.join("BENCH_batch.json");
-        let out = run(&s(&[
-            "bench-batch",
-            "--smoke",
-            "--out",
-            json_path.to_str().unwrap(),
-        ]))
-        .unwrap();
-        assert!(out.contains("batched probes never slower"), "{out}");
-        assert!(out.contains("REINDEX"), "{out}");
-        let doc = fs::read_to_string(&json_path).unwrap();
-        assert!(doc.contains("\"schema\":\"wave-bench/batch/v1\""), "{doc}");
-        // Every object in the cases array is itself flat JSON.
-        let cases = doc
-            .split_once("\"cases\":[")
-            .expect("document has a cases array")
-            .1
-            .trim_end_matches(['}', ']']);
-        let mut parsed = 0;
-        for case in cases.split("},{") {
-            let case = format!("{{{}}}", case.trim_matches(['{', '}']));
-            assert!(parse_flat(&case).is_some(), "unparseable case: {case}");
-            parsed += 1;
-        }
-        assert_eq!(parsed, 2, "smoke sweep has one row per scheme");
-        let err = run(&s(&["bench-batch", "--bogus"])).unwrap_err();
-        assert!(matches!(err, CliError::Usage(_)), "{err}");
-        fs::remove_dir_all(&dir).ok();
-    }
-
-    /// `bench-ingest --smoke` writes a parseable BENCH document and
-    /// reports the amortized-write bounds as met.
-    #[test]
-    fn bench_ingest_smoke_writes_json() {
-        let dir = temp_dir();
-        let json_path = dir.join("BENCH_ingest.json");
-        let out = run(&s(&[
-            "bench-ingest",
-            "--smoke",
-            "--out",
-            json_path.to_str().unwrap(),
-        ]))
-        .unwrap();
-        assert!(out.contains("buffered never slower"), "{out}");
-        assert!(out.contains("DEL"), "{out}");
-        let doc = fs::read_to_string(&json_path).unwrap();
-        assert!(doc.contains("\"schema\":\"wave-bench/ingest/v1\""), "{doc}");
-        // Every object in the cases array is itself flat JSON.
-        let cases = doc
-            .split_once("\"cases\":[")
-            .expect("document has a cases array")
-            .1
-            .trim_end_matches(['}', ']']);
-        let mut parsed = 0;
-        for case in cases.split("},{") {
-            let case = format!("{{{}}}", case.trim_matches(['{', '}']));
-            assert!(parse_flat(&case).is_some(), "unparseable case: {case}");
-            parsed += 1;
-        }
-        assert_eq!(parsed, 6, "smoke sweep has 2 schemes x 3 techniques");
-        let err = run(&s(&["bench-ingest", "--bogus"])).unwrap_err();
-        assert!(matches!(err, CliError::Usage(_)), "{err}");
-        fs::remove_dir_all(&dir).ok();
     }
 
     /// A store initialised with `--buffered` buffers daily adds,
@@ -2620,70 +2096,156 @@ mod tests {
         assert!(matches!(err, CliError::Usage(_)), "{err}");
     }
 
-    /// `bench-filter --smoke` writes a parseable BENCH document and
-    /// reports every scheme's probe-pruning bounds as met.
+    /// Every case object of a `BENCH_<suite>.json` document, parsed
+    /// (none for a flat document).
+    fn bench_cases(doc: &str) -> Vec<std::collections::BTreeMap<String, JsonValue>> {
+        let Some((_, cases)) = doc.split_once("\"cases\":[") else {
+            return Vec::new();
+        };
+        cases
+            .trim_end_matches(['}', ']'])
+            .split("},{")
+            .map(|case| {
+                let case = format!("{{{}}}", case.trim_matches(['{', '}']));
+                parse_flat(&case).unwrap_or_else(|| panic!("unparseable case: {case}"))
+            })
+            .collect()
+    }
+
+    /// `bench <suite> --smoke`, for every suite: the table names a
+    /// row, the verdict reports the suite's bound as met, and the
+    /// document written to `--out-dir` carries the suite's schema and
+    /// its cases (or, for `obs`, its flat result fields).
     #[test]
-    fn bench_filter_smoke_writes_json() {
+    fn bench_smoke_writes_json_for_every_suite() {
+        // (suite, a word of its table, its pass phrase, its case count).
+        let expect = [
+            (
+                "parallel",
+                "scheme",
+                "uniform-probe speedups within",
+                12..=usize::MAX,
+            ),
+            ("batch", "REINDEX", "batched probes never slower", 2..=2),
+            ("filter", "REINDEX", "answers byte-identical", 2..=2),
+            (
+                "obs",
+                "baseline",
+                "tracing + flight recorder + SLOs within",
+                0..=0,
+            ),
+            ("ingest", "DEL", "buffered never slower", 6..=6),
+            (
+                "chaos",
+                "REINDEX",
+                "matched the single-threaded oracle",
+                2..=2,
+            ),
+        ];
+        assert_eq!(
+            expect.clone().map(|e| e.0),
+            wave_bench::SUITES.map(|(name, _)| name),
+            "one expectation per suite"
+        );
         let dir = temp_dir();
-        let json_path = dir.join("BENCH_filter.json");
-        let out = run(&s(&[
-            "bench-filter",
-            "--smoke",
-            "--out",
-            json_path.to_str().unwrap(),
-        ]))
-        .unwrap();
-        assert!(out.contains("answers byte-identical"), "{out}");
-        assert!(out.contains("REINDEX"), "{out}");
-        let doc = fs::read_to_string(&json_path).unwrap();
-        assert!(doc.contains("\"schema\":\"wave-bench/filter/v1\""), "{doc}");
-        // Every object in the cases array is itself flat JSON.
-        let cases = doc
-            .split_once("\"cases\":[")
-            .expect("document has a cases array")
-            .1
-            .trim_end_matches(['}', ']']);
-        let mut parsed = 0;
-        for case in cases.split("},{") {
-            let case = format!("{{{}}}", case.trim_matches(['{', '}']));
-            assert!(parse_flat(&case).is_some(), "unparseable case: {case}");
-            parsed += 1;
+        let d = dir.to_str().unwrap();
+        for (suite, word, verdict, cases) in expect {
+            let out = run(&s(&["bench", suite, "--smoke", "--out-dir", d])).unwrap();
+            assert!(out.contains(word), "{suite}: {out}");
+            assert!(out.contains(verdict), "{suite}: {out}");
+            let path = dir.join(format!("BENCH_{suite}.json"));
+            assert!(out.contains(&format!("wrote {}", path.display())), "{out}");
+            let doc = fs::read_to_string(&path).unwrap();
+            let schema = format!("\"schema\":\"wave-bench/{suite}/v1\"");
+            assert!(doc.contains(&schema), "{suite}: {doc}");
+            let found = bench_cases(&doc).len();
+            assert!(cases.contains(&found), "{suite}: {found} cases");
+            if suite == "obs" {
+                let map = parse_flat(&doc).expect("BENCH_obs.json is flat JSON");
+                for key in ["baseline_us", "traced_us", "overhead", "traces_completed"] {
+                    assert!(map.contains_key(key), "{key} missing: {doc}");
+                }
+            }
+            let err = run(&s(&["bench", suite, "--bogus"])).unwrap_err();
+            assert!(matches!(err, CliError::Usage(_)), "{suite}: {err}");
         }
-        assert_eq!(parsed, 2, "smoke sweep has one row per scheme");
-        let err = run(&s(&["bench-filter", "--bogus"])).unwrap_err();
-        assert!(matches!(err, CliError::Usage(_)), "{err}");
         fs::remove_dir_all(&dir).ok();
     }
 
-    /// `bench-obs --smoke` writes a parseable BENCH document and
-    /// reports the overhead bound as met.
+    /// One front end: `all` writes every suite's document, an unknown
+    /// suite or a missing one is a usage error naming the six, and the
+    /// old per-suite commands are gone, not aliased.
     #[test]
-    fn bench_obs_smoke_writes_json() {
-        let dir = temp_dir();
-        let json_path = dir.join("BENCH_obs.json");
+    fn bench_all_runs_every_suite_and_old_spellings_are_gone() {
+        let dir = temp_dir().join("nested");
         let out = run(&s(&[
-            "bench-obs",
+            "bench",
+            "all",
             "--smoke",
-            "--out",
-            json_path.to_str().unwrap(),
+            "--out-dir",
+            dir.to_str().unwrap(),
         ]))
         .unwrap();
-        assert!(
-            out.contains("tracing + flight recorder + SLOs within"),
-            "{out}"
-        );
-        assert!(out.contains("baseline"), "{out}");
-        let doc = fs::read_to_string(&json_path).unwrap();
-        let map = parse_flat(&doc).expect("BENCH_obs.json is flat JSON");
-        assert_eq!(
-            map.get("schema").and_then(JsonValue::as_str),
-            Some("wave-bench/obs/v1")
-        );
-        for key in ["baseline_us", "traced_us", "overhead", "traces_completed"] {
-            assert!(map.contains_key(key), "{key} missing: {doc}");
+        let written: Vec<String> = fs::read_dir(&dir)
+            .unwrap()
+            .map(|e| e.unwrap().file_name().to_string_lossy().into_owned())
+            .collect();
+        assert_eq!(written.len(), 6, "{written:?}");
+        for (suite, _) in wave_bench::SUITES {
+            let file = format!("BENCH_{suite}.json");
+            assert!(written.contains(&file), "{file} missing: {written:?}");
+            assert!(out.contains(&file), "{out}");
         }
-        let err = run(&s(&["bench-obs", "--bogus"])).unwrap_err();
+
+        for args in [&["bench", "warp"][..], &["bench"], &["bench", "--smoke"]] {
+            let err = run(&s(args)).unwrap_err();
+            assert!(matches!(err, CliError::Usage(_)), "{args:?}: {err}");
+            for (suite, _) in wave_bench::SUITES {
+                assert!(err.to_string().contains(suite), "{args:?}: {err}");
+            }
+        }
+        let err = run(&s(&["bench", "batch", "--out-dir"])).unwrap_err();
         assert!(matches!(err, CliError::Usage(_)), "{err}");
+        for old in ["bench-batch", "bench-parallel", "chaos"] {
+            let err = run(&s(&[old, "--smoke"])).unwrap_err();
+            assert!(matches!(err, CliError::Usage(_)), "{old}: {err}");
+            assert!(err.to_string().contains("unknown command"), "{old}: {err}");
+        }
+        fs::remove_dir_all(dir.parent().unwrap()).ok();
+    }
+
+    /// A failed bound keeps the table it failed on: the failure
+    /// variant carries every row, the `wrote` line and the violation,
+    /// and the document is on disk before the error is returned.
+    #[test]
+    fn failed_bench_bound_still_reports_its_table() {
+        use wave_bench::suite::{Report, Row, Show};
+        let row = |scheme, speedup| {
+            Row::new()
+                .str(Show::Table, "scheme", scheme)
+                .f64(Show::Table, "speedup", speedup)
+        };
+        let mut report = Report {
+            head: Row::new().str(Show::Json, "schema", "wave-bench/demo/v1"),
+            cases: Some(vec![row("REINDEX", 2.5), row("WATA*", 0.5)]),
+            violations: Vec::new(),
+            pass: "every scheme at least 1.0x".to_string(),
+        };
+        let dir = temp_dir();
+        let passed = emit_bench("demo", &report, &dir).unwrap();
+        assert!(passed.contains("every scheme at least 1.0x"), "{passed}");
+
+        report.violations.push("WATA*: only 0.50x".to_string());
+        let err = emit_bench("demo", &report, &dir).unwrap_err();
+        let CliError::Failed("bench", block) = err else {
+            panic!("expected the report-carrying failure, got {err}");
+        };
+        for needle in ["REINDEX", "WATA*", "2.500", "wrote ", "WATA*: only 0.50x"] {
+            assert!(block.contains(needle), "{needle} missing:\n{block}");
+        }
+        assert!(!block.contains("every scheme at least 1.0x"), "{block}");
+        let doc = fs::read_to_string(dir.join("BENCH_demo.json")).unwrap();
+        assert_eq!(bench_cases(&doc).len(), 2, "{doc}");
         fs::remove_dir_all(&dir).ok();
     }
 

@@ -10,12 +10,12 @@ fn main() -> ExitCode {
             print!("{output}");
             ExitCode::SUCCESS
         }
-        // A failed lint still writes its report (text or `--json`) to
+        // A failed gate (`lint`, `bench`) still writes its report to
         // stdout so CI can capture one stream; the exit code carries
         // the verdict.
-        Err(wavectl::CliError::Lint(report)) => {
+        Err(wavectl::CliError::Failed(what, report)) => {
             print!("{report}");
-            eprintln!("wavectl: lint failed");
+            eprintln!("wavectl: {what} failed");
             ExitCode::FAILURE
         }
         Err(e) => {

@@ -85,7 +85,7 @@ mod tests {
             "fn f() {\n    let t = Instant::now();\n    let s = std::time::SystemTime::now();\n}\n";
         let got = run("crates/core/src/wave.rs", src);
         assert_eq!(got.len(), 2, "{got:?}");
-        assert!(run("crates/bench/src/harness.rs", src).is_empty());
+        assert!(run("crates/bench/src/obs.rs", src).is_empty());
     }
 
     #[test]
