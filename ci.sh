@@ -30,6 +30,12 @@ cargo run -q --release --offline -p wavectl -- lint --json \
 echo "==> wavectl lint --check-registry"
 cargo run -q --release --offline -p wavectl -- lint --check-registry
 
+# `benchmark/` is a package of its own (the wall-clock benchmark) that
+# calls the engine's public API; an engine change must keep it
+# compiling without editing it.
+echo "==> benchmark/ compiles against the engine"
+cargo build --release --offline --manifest-path benchmark/Cargo.toml
+
 echo "==> cargo doc -D warnings"
 RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline
 
@@ -128,8 +134,8 @@ cargo run -q --release --offline -p wavectl -- bench all --smoke \
 
 # The committed baselines cannot go stale: the four deterministic
 # suites run in full (~3 s) and must reproduce BENCH_<suite>.json byte
-# for byte. BENCH_obs.json is wall-clock and BENCH_commit.json is
-# written by benchmark/, so neither is compared.
+# for byte. BENCH_obs.json is wall-clock, and BENCH_commit.json and
+# BENCH_readpath.json record benchmark/ pair runs, so none is compared.
 echo "==> committed BENCH_*.json are current"
 for suite in parallel batch filter ingest; do
   cargo run -q --release --offline -p wavectl -- bench "$suite" \

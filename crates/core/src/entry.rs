@@ -53,6 +53,18 @@ impl Entry {
             day: Day(day),
         }
     }
+
+    /// Reads only the day field of the encoded entry at the start of
+    /// `buf`, so a reader can test an entry's day before decoding it.
+    ///
+    /// # Panics
+    /// Panics if `buf` is shorter than [`ENTRY_BYTES`], like
+    /// [`Entry::decode`].
+    pub(crate) fn decode_day(buf: &[u8]) -> Day {
+        Day(u32::from_le_bytes(
+            buf[16..20].try_into().expect("4-byte day"),
+        ))
+    }
 }
 
 impl fmt::Display for Entry {

@@ -682,8 +682,9 @@ impl ConstituentIndex {
     }
 
     /// `TimedIndexProbe` on this constituent: entries for `value`
-    /// inserted within `range` — prune, fetch the bucket, overlay the
-    /// ingest buffer, retain the range (the crate's one read path).
+    /// inserted within `range` — prune, fetch the bucket, decode what
+    /// the range and the ingest overlay keep (the crate's one read
+    /// path).
     pub fn probe_in(
         &self,
         vol: &mut Volume,
@@ -693,56 +694,109 @@ impl ConstituentIndex {
         read::read_slot(self, vol, Read::Probe(value), range, None)
     }
 
-    /// `SegmentScan` on this constituent: every entry, reading the
-    /// base extent sequentially (one seek) plus each private extent.
+    /// `SegmentScan` on this constituent: every entry.
+    pub fn scan(&self, vol: &mut Volume) -> IndexResult<Vec<Entry>> {
+        self.scan_in(vol, TimeRange::all())
+    }
+
+    /// `TimedSegmentScan` on this constituent: every entry inserted
+    /// within `range`, reading the base extent sequentially (one seek)
+    /// plus each private extent.
     ///
     /// With buffered mutations in flight the scan merges the memtable:
-    /// each disk bucket is overlaid (pending-deleted days filtered,
-    /// pending adds appended) and buffer-only values are spliced in at
-    /// their sorted directory position, so the output is
-    /// byte-identical to a scan after the spill.
-    pub fn scan(&self, vol: &mut Volume) -> IndexResult<Vec<Entry>> {
-        let mut out = Vec::with_capacity(self.entries as usize);
+    /// each disk bucket goes through `decode_bucket_in` (out-of-range
+    /// and pending-deleted days dropped, pending adds appended) and
+    /// buffer-only values are spliced in at their sorted directory
+    /// position, so the output is byte-identical to a scan after the
+    /// spill.
+    pub fn scan_in(&self, vol: &mut Volume, range: TimeRange) -> IndexResult<Vec<Entry>> {
+        let kept: u64 = self
+            .day_entries
+            .iter()
+            .filter(|(day, _)| range.contains(**day))
+            .map(|(_, n)| n)
+            .sum();
+        let mut out = Vec::with_capacity(kept as usize);
         let base_buf = match (&self.base, self.has_base_residents()) {
             (Some(base), true) => Some(vol.read_at(base.extent, 0, base.used_bytes)?),
             _ => None,
         };
         let mut pending = self.ingest.iter_adds().peekable();
         for (value, bucket) in self.directory.iter_ordered() {
-            while let Some((pv, _)) = pending.peek() {
-                if *pv < value {
-                    let (_, entries) = pending.next().expect("peeked");
-                    out.extend_from_slice(entries);
-                } else {
-                    break;
-                }
+            while let Some((_, entries)) = pending.next_if(|(pv, _)| *pv < value) {
+                out.extend(entries.iter().filter(|e| range.contains(e.day)));
             }
-            let entries = if bucket.owned {
-                self.read_bucket(vol, bucket)?
+            // The bucket decode appends this value's pending adds
+            // itself, so skip them in the splice iterator.
+            pending.next_if(|(pv, _)| *pv == value);
+            let count = bucket.count as usize;
+            if bucket.owned {
+                let bytes = vol.read_at(bucket.extent, bucket.offset, count * ENTRY_BYTES)?;
+                self.decode_bucket_in(value, &bytes, count, range, &mut out)?;
             } else {
                 let buf = base_buf
                     .as_ref()
                     .ok_or_else(|| IndexError::Corrupt("unowned bucket without base".into()))?;
-                decode_entries(&buf[bucket.offset..], bucket.count as usize)
-            };
-            // The overlay appends this value's pending adds itself, so
-            // skip them in the splice iterator.
-            out.extend(self.ingest.overlay(value, entries));
-            if pending.peek().is_some_and(|(pv, _)| *pv == value) {
-                pending.next();
+                let bytes = buf.get(bucket.offset..).unwrap_or_default();
+                self.decode_bucket_in(value, bytes, count, range, &mut out)?;
             }
         }
         for (_, entries) in pending {
-            out.extend_from_slice(entries);
+            out.extend(entries.iter().filter(|e| range.contains(e.day)));
         }
         Ok(out)
     }
 
-    /// `TimedSegmentScan` on this constituent.
-    pub fn scan_in(&self, vol: &mut Volume, range: TimeRange) -> IndexResult<Vec<Entry>> {
-        let mut entries = self.scan(vol)?;
-        entries.retain(|e| range.contains(e.day));
-        Ok(entries)
+    /// Appends to `out` the logical entries of `value`'s disk bucket
+    /// that lie in `range`: `bytes` holds the bucket's `count` encoded
+    /// entries as fetched (trailing bytes ignored). An entry is decoded
+    /// only if its day is in `range` and not pending deletion; then the
+    /// value's in-range pending adds follow. The output equals
+    /// `decode_entries` -> [`IngestBuffer::overlay`] -> retain `range`,
+    /// entry for entry and in order. Bucket entries need not be in day
+    /// order (`build_packed` keeps its batches' order), so every entry's
+    /// day is read.
+    ///
+    /// When every day of the constituent lies in `range` and no delete
+    /// is pending, nothing can be dropped and the bucket decodes whole.
+    pub(crate) fn decode_bucket_in(
+        &self,
+        value: &SearchValue,
+        bytes: &[u8],
+        count: usize,
+        range: TimeRange,
+        out: &mut Vec<Entry>,
+    ) -> IndexResult<()> {
+        let bytes = bytes.get(..count * ENTRY_BYTES).ok_or_else(|| {
+            IndexError::Corrupt(format!(
+                "bucket of {value} holds {} of {} bytes",
+                bytes.len(),
+                count * ENTRY_BYTES
+            ))
+        })?;
+        let encoded = bytes.chunks_exact(ENTRY_BYTES);
+        let adds = self.ingest.adds_for(value).map_or(&[][..], Vec::as_slice);
+        let no_deletes = self.ingest.pending_delete_days() == 0;
+        let all_days = self
+            .day_span()
+            .is_none_or(|(lo, hi)| range.contains(lo) && range.contains(hi));
+        if no_deletes && all_days {
+            out.reserve(count + adds.len());
+            out.extend(encoded.map(Entry::decode));
+            out.extend_from_slice(adds);
+            return Ok(());
+        }
+        // A pending-deleted day outside the range is dropped by the
+        // range test already; look deletes up only if one is inside.
+        let check_deletes = self.ingest.delete_days().any(|day| range.contains(day));
+        for raw in encoded {
+            let day = Entry::decode_day(raw);
+            if range.contains(day) && !(check_deletes && self.ingest.day_deleted(day)) {
+                out.push(Entry::decode(raw));
+            }
+        }
+        out.extend(adds.iter().filter(|e| range.contains(e.day)));
+        Ok(())
     }
 
     /// Reads every bucket into a value → entries map (used by smart
@@ -1091,11 +1145,13 @@ impl ConstituentIndex {
         days
     }
 
-    /// Applies the ingest buffer's overlay to a raw bucket read:
-    /// pending-deleted days filtered out, pending adds appended. The
-    /// read path calls this on every `ProbeOutcome::Bucket` it fetches
-    /// so buffered results stay byte-identical to the unbuffered path.
-    /// A no-op when the buffer is empty.
+    /// Applies the ingest buffer's overlay to a decoded bucket:
+    /// pending-deleted days filtered out, pending adds appended. A
+    /// no-op when the buffer is empty. This is the reference statement
+    /// of the overlay (see [`IngestBuffer::overlay`]), not the read
+    /// path: probes, batches and scans decode a fetched bucket through
+    /// the crate-private `decode_bucket_in`, which decodes only what
+    /// the range and the overlay keep.
     pub fn overlay_pending(&self, value: &SearchValue, entries: Vec<Entry>) -> Vec<Entry> {
         self.ingest.overlay(value, entries)
     }
@@ -1378,6 +1434,7 @@ impl ConstituentIndex {
 mod tests {
     use super::*;
     use crate::record::{Record, RecordId};
+    use wave_obs::SplitMix64;
 
     fn batch(day: u32, specs: &[(u64, &[&str])]) -> DayBatch {
         DayBatch::new(
@@ -1621,6 +1678,118 @@ mod tests {
         assert_eq!(scanned.len(), 3);
         assert!(scanned.iter().all(|e| r.contains(e.day)));
         idx.release(&mut vol).unwrap();
+    }
+
+    fn random_day(rng: &mut SplitMix64, day: u32, buffered: bool) -> DayBatch {
+        let records = (0..rng.range_usize(0, 6))
+            .map(|i| {
+                let values = (0..rng.range_usize(1, 3)).map(|_| {
+                    if buffered && rng.gen_bool(0.3) {
+                        SearchValue::from_u64(rng.range_u64(50, 52))
+                    } else {
+                        SearchValue::from_u64(rng.range_u64(0, 5))
+                    }
+                });
+                Record::with_values(RecordId(day as u64 * 100 + i as u64), values)
+            })
+            .collect();
+        DayBatch::new(Day(day), records)
+    }
+
+    /// The read path's bucket decode against its reference,
+    /// `decode_entries` -> `IngestBuffer::overlay` -> retain: buckets
+    /// built from batches in shuffled day order, pending deletes and
+    /// pending adds inside and outside each range, and ranges that
+    /// keep everything, nothing, one day, a cut of the span, or lie
+    /// beside it.
+    #[test]
+    fn bucket_decode_matches_overlay_then_retain() {
+        let mut keep_all_cases = 0;
+        for seed in 0..256u64 {
+            let mut rng = SplitMix64::new(0xDEC0_DE00 + seed);
+            let mut vol = Volume::default();
+            let mut days: Vec<u32> = (1..=12).collect();
+            rng.shuffle(&mut days);
+            let built = rng.range_usize(1, 8);
+            let added = rng.range_usize(0, 12 - built);
+            let base: Vec<DayBatch> = days[..built]
+                .iter()
+                .map(|&d| random_day(&mut rng, d, false))
+                .collect();
+            let refs: Vec<&DayBatch> = base.iter().collect();
+            let mut idx = ConstituentIndex::build_packed("I", cfg(), &mut vol, &refs).unwrap();
+            let del: BTreeSet<Day> = if seed % 4 == 0 {
+                BTreeSet::new()
+            } else {
+                days[..built]
+                    .iter()
+                    .filter(|_| rng.gen_bool(0.35))
+                    .map(|&d| Day(d))
+                    .collect()
+            };
+            let add: Vec<DayBatch> = days[built..built + added]
+                .iter()
+                .map(|&d| random_day(&mut rng, d, true))
+                .collect();
+            let add_refs: Vec<&DayBatch> = add.iter().collect();
+            idx.buffer_update(&vol, &del, &add_refs);
+
+            let (lo, hi) = (rng.range_u32(1, 12), rng.range_u32(1, 12));
+            let one = Day(rng.range_u32(1, 12));
+            let ranges = [
+                TimeRange::all(),
+                TimeRange::between(Day(9), Day(3)),
+                TimeRange::between(one, one),
+                TimeRange::between(Day(lo.min(hi)), Day(lo.max(hi))),
+                TimeRange::since(Day(lo)),
+                TimeRange::between(Day(20), Day(30)),
+            ];
+            for v in (0..=5).chain(50..=52).chain([99]) {
+                let value = SearchValue::from_u64(v);
+                let (mut bytes, count) = match idx.bucket_for(&vol, &value) {
+                    Some(b) => {
+                        let len = b.count as usize * ENTRY_BYTES;
+                        let bytes = vol.read_at(b.extent, b.offset, len).unwrap();
+                        (bytes.to_vec(), b.count as usize)
+                    }
+                    None => (Vec::new(), 0),
+                };
+                // Sweep buffers and base-extent slices carry bytes
+                // past the bucket; they must be ignored.
+                if seed % 2 == 1 {
+                    bytes.extend_from_slice(&[0xAB; 7]);
+                }
+                for range in ranges {
+                    let mut want = idx.ingest().overlay(&value, decode_entries(&bytes, count));
+                    want.retain(|e| range.contains(e.day));
+                    let sentinel = Entry::new(RecordId(u64::MAX), 0, Day(0));
+                    let mut got = vec![sentinel];
+                    idx.decode_bucket_in(&value, &bytes, count, range, &mut got)
+                        .unwrap();
+                    assert_eq!(got[0], sentinel, "seed {seed}: appends, never clears");
+                    assert_eq!(got[1..], want[..], "seed {seed} value {v} {range:?}");
+                    let all_days = idx
+                        .day_span()
+                        .is_none_or(|(a, b)| range.contains(a) && range.contains(b));
+                    if del.is_empty() && all_days && count > 0 {
+                        keep_all_cases += 1;
+                    }
+                }
+                if count > 0 {
+                    let short = &bytes[..count * ENTRY_BYTES - 1];
+                    let err = idx.decode_bucket_in(
+                        &value,
+                        short,
+                        count,
+                        TimeRange::all(),
+                        &mut Vec::new(),
+                    );
+                    assert!(matches!(err, Err(IndexError::Corrupt(_))), "seed {seed}");
+                }
+            }
+            idx.release(&mut vol).unwrap();
+        }
+        assert!(keep_all_cases > 0, "the keep-all loop was never taken");
     }
 
     #[test]

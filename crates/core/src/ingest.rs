@@ -19,6 +19,9 @@
 //!   bucket is the disk bucket with pending-deleted days filtered out
 //!   and pending adds appended at the end — exactly the entry order
 //!   the unbuffered in-place/shadow paths produce.
+//!   [`IngestBuffer::overlay`] states that rule on decoded entries;
+//!   the read path applies it while decoding, and only to the days
+//!   its range keeps (`ConstituentIndex::decode_bucket_in`).
 //! * **The buffer is crash-safe.** `commit_wave` serializes a dirty
 //!   buffer as a checksummed `.ing` sidecar (the `WING` log, same
 //!   CRC64-trailer shape as `.filt`) referenced from the MANIFEST;
@@ -155,6 +158,11 @@ impl IngestBuffer {
     /// Applies the buffer's delete-day overlay plus pending adds to a
     /// disk bucket's entries, producing the logical bucket contents —
     /// byte-identical to what the unbuffered path would hold.
+    ///
+    /// This is the reference statement of the overlay, used by
+    /// `check_consistency` and by the tests that pin the read path to
+    /// it; probes, batches and scans do not call it, they decode only
+    /// the entries their range and this overlay keep.
     pub fn overlay(&self, value: &SearchValue, mut entries: Vec<Entry>) -> Vec<Entry> {
         if !self.deletes.is_empty() {
             entries.retain(|e| !self.deletes.contains_key(&e.day));

@@ -15,12 +15,15 @@
 //! A probe of one `(slot, value)` is always the same sequence:
 //! **prune** ([`ConstituentIndex::prune_probe`]: membership filter,
 //! covering set, directory — all in memory), **fetch** the bucket if
-//! one is left to fetch, **overlay** the ingest buffer's pending
-//! mutations on what was fetched, and **retain** the entries inside
-//! the range. The callers differ only in how they obtain the
-//! [`Volume`] (owned, one mutex hold per constituent, per arm) and in
-//! what they record around the read (nothing, busy seconds, per-slot
-//! seconds, a `StatsDelta`).
+//! one is left to fetch, and **decode what the range and the overlay
+//! keep** ([`ConstituentIndex::decode_bucket_in`]): an entry is
+//! decoded only if its day lies in the range and is not pending
+//! deletion in the ingest buffer, and the value's in-range pending
+//! adds follow. A covered answer is already logical and only loses
+//! the days outside the range. The callers differ only in how they
+//! obtain the [`Volume`] (owned, one mutex hold per constituent, per
+//! arm) and in what they record around the read (nothing, busy
+//! seconds, per-slot seconds, a `StatsDelta`).
 //!
 //! # Invariants
 //!
@@ -49,7 +52,7 @@ use wave_obs::{Counter, TraceCtx};
 use wave_storage::{IoScheduler, ReadRequest, RetryPolicy, Volume};
 
 use crate::directory::BucketRef;
-use crate::entry::{decode_entries, Entry, ENTRY_BYTES};
+use crate::entry::{Entry, ENTRY_BYTES};
 use crate::error::{IndexError, IndexResult};
 use crate::index::{ConstituentIndex, ProbeOutcome};
 use crate::query::TimeRange;
@@ -93,11 +96,12 @@ fn bucket_bytes(bucket: &BucketRef) -> usize {
     bucket.count as usize * ENTRY_BYTES
 }
 
-/// The tail of the sequence for one pruned `(slot, value)`: fetch the
-/// bucket if pruning left one (covered entries are already logical),
-/// overlay the ingest buffer on what was fetched (a no-op with a clean
-/// buffer), retain the range. `fetch` is the only step that differs —
-/// a cached read of the one bucket, or the next buffer of a sweep.
+/// The tail of the sequence for one pruned `(slot, value)`: covered
+/// entries are already logical and only lose what lies outside the
+/// range; a bucket is fetched and decoded as far as the range and the
+/// ingest overlay keep it ([`ConstituentIndex::decode_bucket_in`]).
+/// `fetch` is the only step that differs — a cached read of the one
+/// bucket, or the next buffer of a sweep.
 fn finish<B: AsRef<[u8]>>(
     idx: &ConstituentIndex,
     value: &SearchValue,
@@ -105,24 +109,25 @@ fn finish<B: AsRef<[u8]>>(
     range: TimeRange,
     fetch: impl FnOnce(&BucketRef) -> IndexResult<B>,
 ) -> IndexResult<Vec<Entry>> {
-    let mut entries = match outcome {
-        ProbeOutcome::Skipped | ProbeOutcome::Absent => return Ok(Vec::new()),
-        ProbeOutcome::Covered(entries) => entries,
+    match outcome {
+        ProbeOutcome::Skipped | ProbeOutcome::Absent => Ok(Vec::new()),
+        ProbeOutcome::Covered(mut entries) => {
+            entries.retain(|e| range.contains(e.day));
+            Ok(entries)
+        }
         ProbeOutcome::Bucket(bucket) => {
             let fetched = fetch(&bucket)?;
-            let bytes = fetched.as_ref();
-            if bytes.len() < bucket_bytes(&bucket) {
-                return Err(IndexError::Corrupt(format!(
-                    "bucket read of {value} returned {} of {} bytes",
-                    bytes.len(),
-                    bucket_bytes(&bucket)
-                )));
-            }
-            idx.overlay_pending(value, decode_entries(bytes, bucket.count as usize))
+            let mut entries = Vec::with_capacity(bucket.count as usize);
+            idx.decode_bucket_in(
+                value,
+                fetched.as_ref(),
+                bucket.count as usize,
+                range,
+                &mut entries,
+            )?;
+            Ok(entries)
         }
-    };
-    entries.retain(|e| range.contains(e.day));
-    Ok(entries)
+    }
 }
 
 /// Reads one selected constituent: the entries of `what` inside

@@ -62,9 +62,9 @@
 //!   covered slots, never silently wrong. After a cooldown, one
 //!   half-open probe decides re-admission.
 //!
-//! The deterministic chaos harness (`wavectl chaos`) races all three
-//! fault classes against concurrent queries and maintenance epochs
-//! and checks every completed answer against a single-threaded
+//! The deterministic chaos harness (`wavectl bench chaos`) races all
+//! three fault classes against concurrent queries and maintenance
+//! epochs and checks every completed answer against a single-threaded
 //! oracle.
 
 use std::collections::{BTreeMap, BTreeSet};

@@ -3,12 +3,14 @@
 //! of `parallel`, `SharedWave`, and `WaveServer` on one arm and on
 //! three arms plus a maintenance arm — must return the entries and the
 //! `indexes_accessed` of a model that knows nothing about indexes, on
-//! random waves with an empty slot, filters on and off, covering
-//! entries, and dirty ingest buffers.
+//! random waves with an empty slot, a slot whose buckets are not in
+//! day order, filters on and off, covering entries, and dirty ingest
+//! buffers.
 //!
 //! The model is deliberately independent of `read.rs`: dropping the
-//! ingest overlay, the range retain or the empty-constituent skip
-//! there makes this test fail (each was checked by hand).
+//! pending-delete check, the range check or the pending adds from the
+//! bucket decode, or the empty-constituent skip from the selection,
+//! makes this test fail.
 
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -27,7 +29,8 @@ use wave_storage::{DiskArray, DiskConfig, Volume};
 /// empty constituent.
 #[derive(Clone, Default)]
 struct SlotSpec {
-    /// Days built packed, ascending.
+    /// Days built packed, in build order: ascending, except in one
+    /// slot per case (bucket entries then run newest day first).
     base: Vec<DayBatch>,
     /// Base days whose deletion sits in the ingest buffer.
     del: BTreeSet<Day>,
@@ -72,7 +75,7 @@ fn random_day(rng: &mut SplitMix64, day: u32, buffer_only: bool) -> DayBatch {
 fn random_case(rng: &mut SplitMix64, seed: u64) -> Case {
     let n = rng.range_usize(1, 6);
     let empty_slot = rng.range_usize(0, n - 1);
-    let slots = (0..n)
+    let mut slots: Vec<Option<SlotSpec>> = (0..n)
         .map(|j| {
             if n > 1 && j == empty_slot {
                 return Some(SlotSpec::default());
@@ -96,6 +99,11 @@ fn random_case(rng: &mut SplitMix64, seed: u64) -> Case {
             Some(SlotSpec { base, del, add })
         })
         .collect();
+    // `build_packed` keeps its batches' order, so this slot's buckets
+    // are not in day order.
+    if let Some(spec) = slots.iter_mut().flatten().rfind(|s| s.base.len() > 1) {
+        spec.base.reverse();
+    }
     Case {
         cfg: IndexConfig {
             filter: FilterConfig {
@@ -214,6 +222,15 @@ fn random_ranges(rng: &mut SplitMix64, model: &Model) -> Vec<TimeRange> {
         ranges.push(TimeRange::between(lo, lo)); // inside one slot
         let next_lo = model.slots.get(i + 1).map_or(Day(hi.0 + 3), |s| s.lo);
         ranges.push(TimeRange::between(hi, next_lo)); // straddling two
+        let wide: Vec<&SlotModel> = model
+            .slots
+            .iter()
+            .filter(|s| s.hi.0 >= s.lo.0 + 2)
+            .collect();
+        if !wide.is_empty() {
+            let SlotModel { lo, hi, .. } = *wide[rng.range_usize(0, wide.len() - 1)];
+            ranges.push(TimeRange::between(Day(lo.0 + 1), Day(hi.0 - 1))); // strictly inside one
+        }
     }
     ranges
 }
