@@ -36,6 +36,26 @@ cargo run -q --release --offline -p wavectl -- lint --check-registry
 echo "==> benchmark/ compiles against the engine"
 cargo build --release --offline --manifest-path benchmark/Cargo.toml
 
+# Its smoke run (~1.5 s) checks every answer of the four workloads —
+# probes, batches and scans — against the benchmark's own oracle. Each
+# workload ends with one JSON line; all four must say `"correct": true`
+# with no failed op.
+echo "==> benchmark/ smoke run matches its oracle"
+cargo run -q --release --offline --manifest-path benchmark/Cargo.toml -- \
+  run --smoke > target/BENCH_smoke.out || {
+  cat target/BENCH_smoke.out >&2
+  exit 1
+}
+reported=$(grep -c '^{"correct": ' target/BENCH_smoke.out || true)
+passed=$(grep -c '^{"correct": true, "attempted": [0-9]*, "failed": 0,' \
+  target/BENCH_smoke.out || true)
+if [ "$reported" -ne 4 ] || [ "$passed" -ne 4 ]; then
+  grep '^{"correct": ' target/BENCH_smoke.out >&2 || true
+  echo "benchmark smoke: $passed of $reported workloads correct with" \
+    "no failed op; want 4 of 4" >&2
+  exit 1
+fi
+
 echo "==> cargo doc -D warnings"
 RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline
 

@@ -149,7 +149,10 @@ impl SharedWave {
                 // critical section, so retries never widen the window in
                 // which swaps can interleave.
                 let retry = Some((&self.retry, &self.retries));
-                entries.extend(read::read_slot(idx, &mut vol, what, range, retry)?);
+                read::append(
+                    &mut entries,
+                    read::read_slot(idx, &mut vol, what, range, retry)?,
+                );
                 busy += vol.stats().since(&before).sim_seconds;
             }
             Ok(entries)

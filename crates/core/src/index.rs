@@ -18,7 +18,7 @@
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::OnceLock;
 
-use wave_storage::{Extent, IoScheduler, ReadRequest, Volume, WriteBuffer};
+use wave_storage::{Extent, IoScheduler, ReadRequest, Sweep, Volume, WriteBuffer};
 
 use crate::contiguous::ContiguousConfig;
 use crate::directory::{BucketRef, Directory, DirectoryKind};
@@ -967,15 +967,15 @@ impl ConstituentIndex {
                 read_values.push((value.clone(), bucket.count));
             }
         }
-        let buffers = if requests.is_empty() {
-            Vec::new()
+        let sweep = if requests.is_empty() {
+            None
         } else {
-            IoScheduler::read_batch(vol, &requests)?
+            Some(IoScheduler::read_batch(vol, &requests)?)
         };
         let mut old: BTreeMap<SearchValue, Vec<Entry>> = read_values
             .into_iter()
-            .zip(buffers)
-            .map(|((value, count), buf)| (value, decode_entries(&buf, count as usize)))
+            .zip(sweep.iter().flat_map(Sweep::iter))
+            .map(|((value, count), bytes)| (value, decode_entries(bytes, count as usize)))
             .collect();
         // Pass 2: merge each touched bucket once and stage the write;
         // the flush below coalesces adjacent rewrites into sequential

@@ -202,7 +202,7 @@ fn read_detailed(
     let mut per_slot = Vec::new();
     for (slot, idx) in read::select(wave.iter(), range) {
         let before = vol.stats();
-        entries.extend(read::read_slot(idx, vol, what, range, None)?);
+        read::append(&mut entries, read::read_slot(idx, vol, what, range, None)?);
         per_slot.push((slot, vol.stats().since(&before).sim_seconds));
     }
     Ok(DetailedQuery { entries, per_slot })

@@ -34,11 +34,17 @@
 //! * **A filter skip is still an access.** `indexes_accessed` counts
 //!   the selected slots, not the buckets that hit: pruning removes
 //!   I/O, never an access from the paper's `Probe_idx` measure.
+//! * **A repeat is still an access and a request.** A value that
+//!   occurs twice in a batch is pruned twice and its bucket requested
+//!   twice, so the counters and the device schedule are those of
+//!   per-pair pruning; only the decode runs once per slot, and the
+//!   repeat gets a clone of that answer.
 //! * **Answers do not depend on the caller.** Every path returns the
 //!   same entries in the same order; only the device schedule differs
 //!   — a single probe reads its buckets through the cache in slot
-//!   order, a batch goes through one cache-bypassing elevator sweep, a
-//!   scan reads the base extent sequentially.
+//!   order, a batch goes through one cache-bypassing elevator sweep
+//!   and decodes from the slices it lends, a scan reads the base
+//!   extent sequentially.
 //!
 //! A caller's retry policy wraps the device read alone. Pruning runs
 //! once per `(slot, value)` however many transient errors the read
@@ -48,8 +54,10 @@
 //! [`WaveIndex`]: crate::wave::WaveIndex
 //! [`SharedWave`]: crate::concurrent::SharedWave
 
+use std::collections::{BTreeMap, BTreeSet};
+
 use wave_obs::{Counter, TraceCtx};
-use wave_storage::{IoScheduler, ReadRequest, RetryPolicy, Volume};
+use wave_storage::{IoScheduler, ReadRequest, RetryPolicy, Sweep, Volume};
 
 use crate::directory::BucketRef;
 use crate::entry::{Entry, ENTRY_BYTES};
@@ -57,6 +65,16 @@ use crate::error::{IndexError, IndexResult};
 use crate::index::{ConstituentIndex, ProbeOutcome};
 use crate::query::TimeRange;
 use crate::record::SearchValue;
+
+/// Appends one slot's answer to a value's result: the first non-empty
+/// answer is moved in whole, later ones are appended.
+pub(crate) fn append(out: &mut Vec<Entry>, entries: Vec<Entry>) {
+    if out.is_empty() {
+        *out = entries;
+    } else {
+        out.extend(entries);
+    }
+}
 
 /// What to read from one constituent.
 #[derive(Clone, Copy)]
@@ -154,15 +172,35 @@ pub(crate) fn read_slot(
     }
 }
 
+/// For each of `values`: the index of its first occurrence, and
+/// whether it occurs again later in the batch.
+fn repeats(values: &[SearchValue]) -> Vec<(usize, bool)> {
+    let mut first: BTreeMap<&SearchValue, usize> = BTreeMap::new();
+    let mut out: Vec<(usize, bool)> = values
+        .iter()
+        .enumerate()
+        .map(|(vi, value)| (*first.entry(value).or_insert(vi), false))
+        .collect();
+    let mut seen: BTreeSet<&SearchValue> = BTreeSet::new();
+    for (value, (_, again)) in values.iter().zip(&mut out).rev() {
+        *again = !seen.insert(value);
+    }
+    out
+}
+
 /// Probes every value of `values` in every selected constituent with
 /// at most one scheduled device sweep: every `(slot, value)` is pruned
 /// in memory first, then *all* the buckets left to fetch go to the
 /// [`IoScheduler`] as one batch under `ctx` — sorted by block address,
 /// adjacent buckets merged into single transfers, shared blocks read
-/// once. Every `(slot, value)` answer is handed to `emit(slot, value
-/// index, entries)` in slot-then-value order as soon as it is decoded,
-/// so a caller that folds answers into per-value results holds no
-/// entry twice; returns the number of selected slots.
+/// once. Buckets decode straight from the slices the [`Sweep`] lends,
+/// and a value repeated in `values` decodes once per slot: its repeats
+/// are pruned and requested like any pair, then answered with a clone
+/// of the first occurrence's entries. Every `(slot, value)` answer is
+/// handed to `emit(slot, value index, entries)` in slot-then-value
+/// order as soon as it is decoded, so a caller that folds answers
+/// into per-value results holds no entry twice; returns the number of
+/// selected slots.
 pub(crate) fn read_batch<'a>(
     selected: impl Iterator<Item = (usize, &'a ConstituentIndex)>,
     vol: &mut Volume,
@@ -191,27 +229,46 @@ pub(crate) fn read_batch<'a>(
     }
     // The scheduler treats an empty batch as a caller error; a batch
     // that happens to need no bucket is not one.
-    let buffers = if requests.is_empty() {
-        Vec::new()
+    let sweep: Option<Sweep> = if requests.is_empty() {
+        None
     } else {
-        with_retry(retry, || {
+        Some(with_retry(retry, || {
             Ok(IoScheduler::read_batch_traced(vol, &requests, ctx)?)
-        })?
+        })?)
     };
-    // Requests were pushed in (slot, value) order and the scheduler
-    // answers in submission order, so the buffers are consumed in the
-    // order the plan is walked.
-    let mut buffers = buffers.into_iter();
+    // Requests were pushed in (slot, value) order and the sweep lends
+    // them in submission order, so they are taken in the order the
+    // plan is walked. A request past the sweep lends no bytes, which
+    // `decode_bucket_in` reports as a corrupt bucket.
+    let lend = |i: usize| sweep.as_ref().map(|s| s.get(i)).unwrap_or_default();
+    let repeats = repeats(values);
+    let mut next = 0;
+    // A first occurrence's answer, kept for the repeats that follow it
+    // in the same slot; the last repeat takes it.
+    let mut kept: Vec<Vec<Entry>> = vec![Vec::new(); values.len()];
     let accessed = plan.len();
     for (slot, idx, outcomes) in plan {
-        for (vi, (outcome, value)) in outcomes.into_iter().zip(values).enumerate() {
-            let entries = finish(idx, value, outcome, range, |_| {
-                buffers.next().ok_or_else(|| {
-                    IndexError::Corrupt(
-                        "scheduled sweep returned fewer buffers than requests".into(),
-                    )
-                })
-            })?;
+        let pairs = outcomes.into_iter().zip(values).zip(&repeats);
+        for (vi, ((outcome, value), &(first, again))) in pairs.enumerate() {
+            let request = next;
+            if matches!(outcome, ProbeOutcome::Bucket(_)) {
+                next += 1;
+            }
+            let entries = if first == vi {
+                let entries = finish(idx, value, outcome, range, |_| Ok(lend(request)))?;
+                if again {
+                    if let Some(keep) = kept.get_mut(vi) {
+                        keep.clone_from(&entries);
+                    }
+                }
+                entries
+            } else {
+                match kept.get_mut(first) {
+                    Some(keep) if again => keep.clone(),
+                    Some(keep) => std::mem::take(keep),
+                    None => Vec::new(),
+                }
+            };
             emit(slot, vi, entries);
         }
     }

@@ -1497,9 +1497,18 @@ impl WaveServer {
             drop(route);
             // Merge in ascending slot order, column by column:
             // byte-identical to the single-threaded WaveIndex iteration.
+            // Each column is sized once from its slots' answers.
             per_slot.sort_by_key(|(slot, _)| *slot);
             let accessed = per_slot.len();
-            let mut per_value: Vec<Vec<Entry>> = vec![Vec::new(); columns];
+            let mut per_value: Vec<Vec<Entry>> = (0..columns)
+                .map(|c| {
+                    let len = per_slot
+                        .iter()
+                        .filter_map(|(_, cols)| cols.get(c))
+                        .map(Vec::len);
+                    Vec::with_capacity(len.sum())
+                })
+                .collect();
             for (_, slot_columns) in per_slot {
                 for (out, entries) in per_value.iter_mut().zip(slot_columns) {
                     out.extend(entries);

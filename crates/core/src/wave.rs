@@ -104,7 +104,7 @@ impl WaveIndex {
         let mut accessed = 0;
         for (_, idx) in read::select(self.iter(), range) {
             accessed += 1;
-            entries.extend(read::read_slot(idx, vol, what, range, None)?);
+            read::append(&mut entries, read::read_slot(idx, vol, what, range, None)?);
         }
         Ok(QueryResult {
             entries,
@@ -162,12 +162,12 @@ impl WaveIndex {
                 indexes_accessed: 0,
             })
             .collect();
-        // Extending per value in slot order reproduces the per-probe
+        // Appending per value in slot order reproduces the per-probe
         // entry order; every value touches the same constituents.
         let selected = read::select(self.iter(), range);
         let emit = |_, vi: usize, entries| {
             if let Some(result) = results.get_mut(vi) {
-                result.entries.extend(entries);
+                read::append(&mut result.entries, entries);
             }
         };
         let accessed = read::read_batch(selected, vol, values, range, ctx, retry, emit)?;

@@ -5,7 +5,8 @@
 //! `indexes_accessed` of a model that knows nothing about indexes, on
 //! random waves with an empty slot, a slot whose buckets are not in
 //! day order, filters on and off, covering entries, and dirty ingest
-//! buffers.
+//! buffers, probed by batches that repeat covered, buffer-only,
+//! pending-delete and absent values.
 //!
 //! The model is deliberately independent of `read.rs`: dropping the
 //! pending-delete check, the range check or the pending adds from the
@@ -18,11 +19,11 @@ use wave_index::concurrent::SharedWave;
 use wave_index::parallel::{probe_detailed, scan_detailed};
 use wave_index::server::{ServerConfig, WaveServer};
 use wave_index::{
-    ConstituentIndex, Day, DayBatch, Entry, FilterConfig, IndexConfig, Record, RecordId,
-    SearchValue, TimeRange, WaveIndex,
+    ConstituentIndex, Day, DayBatch, Entry, FilterConfig, IndexConfig, ProbeOutcome, Record,
+    RecordId, SearchValue, TimeRange, WaveIndex, ENTRY_BYTES,
 };
 use wave_obs::{Obs, SplitMix64};
-use wave_storage::{DiskArray, DiskConfig, Volume};
+use wave_storage::{DiskArray, DiskConfig, IoScheduler, ReadRequest, Volume};
 
 /// One slot of a random wave: `None` is a vacant slot; a spec with no
 /// base, no adds (or whose only day is pending deletion) is a live but
@@ -235,15 +236,133 @@ fn random_ranges(rng: &mut SplitMix64, model: &Model) -> Vec<TimeRange> {
     ranges
 }
 
-/// Present, absent, duplicate and buffer-only values.
+fn shuffle<T>(rng: &mut SplitMix64, items: &mut [T]) {
+    for i in (1..items.len()).rev() {
+        items.swap(i, rng.range_usize(0, i));
+    }
+}
+
+/// A batch with repeats: a random part of the base values (covered or
+/// not, some in pending-delete days), the buffer-only values and the
+/// absent 999, in random order; then about two thirds of it again in
+/// another order; then the first value once more, so at least one
+/// repeat is never adjacent to its first occurrence.
 fn random_values(rng: &mut SplitMix64) -> Vec<SearchValue> {
-    let mut values: Vec<SearchValue> = (0..rng.range_usize(1, 5))
-        .map(|_| SearchValue::from_u64(rng.range_u64(0, 11)))
+    let mut head: Vec<u64> = (0..=11).chain(100..=103).chain([999]).collect();
+    shuffle(rng, &mut head);
+    head.truncate(rng.range_usize(2, head.len()));
+    let mut tail: Vec<u64> = head
+        .iter()
+        .copied()
+        .filter(|_| rng.range_usize(0, 2) != 0)
         .collect();
-    values.push(SearchValue::from_u64(999));
-    values.push(SearchValue::from_u64(rng.range_u64(100, 103)));
-    values.push(values[0].clone());
-    values
+    shuffle(rng, &mut tail);
+    let first = head[0];
+    head.into_iter()
+        .chain(tail)
+        .chain([first])
+        .map(SearchValue::from_u64)
+        .collect()
+}
+
+/// What a repeated value is in the slots of a wave, for the coverage
+/// tally of [`every_reader_matches_the_model`].
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Debug)]
+enum Repeat {
+    /// Served from the covering set of some slot.
+    Covered,
+    /// Served from the pending adds of a slot whose base lacks it.
+    BufferOnly,
+    /// Read from a bucket of a slot with a pending-delete day that
+    /// holds the value.
+    PendingDelete,
+    /// In no slot.
+    Absent,
+}
+
+/// Whether any record of `batches` carries `value`.
+fn holds<'a>(batches: impl IntoIterator<Item = &'a DayBatch>, value: &SearchValue) -> bool {
+    batches
+        .into_iter()
+        .flat_map(|b| &b.records)
+        .any(|r| r.values.iter().any(|(v, _)| v == value))
+}
+
+/// The kinds of every value that occurs more than once in `values`.
+fn repeat_kinds(case: &Case, wave: &WaveIndex, values: &[SearchValue]) -> BTreeSet<Repeat> {
+    // Pruning counts into the volume's registry; this one is thrown away.
+    let scratch = Volume::default();
+    let mut kinds = BTreeSet::new();
+    for (vi, value) in values.iter().enumerate() {
+        if !values[vi + 1..].contains(value) || values[..vi].contains(value) {
+            continue;
+        }
+        if value == &SearchValue::from_u64(999) {
+            kinds.insert(Repeat::Absent);
+        }
+        for (j, spec) in case.slots.iter().enumerate() {
+            let (Some(spec), Some(idx)) = (spec, wave.slot(j)) else {
+                continue;
+            };
+            let in_base = holds(&spec.base, value);
+            let deleted = holds(
+                spec.base.iter().filter(|b| spec.del.contains(&b.day)),
+                value,
+            );
+            // A value with a base bucket is served in memory only from
+            // the covering set; one without, only from its pending adds.
+            match idx.prune_probe(&scratch, value) {
+                ProbeOutcome::Covered(_) if in_base => kinds.insert(Repeat::Covered),
+                ProbeOutcome::Covered(_) => kinds.insert(Repeat::BufferOnly),
+                ProbeOutcome::Bucket(_) if deleted => kinds.insert(Repeat::PendingDelete),
+                _ => false,
+            };
+        }
+    }
+    kinds
+}
+
+/// The counters one batch moves on `vol`: `filter.checks`,
+/// `filter.skips`, the `dir.probe_depth` sample count, and
+/// `sched.requests`, `sched.merged`, `sched.seeks_saved`.
+fn batch_counters(vol: &Volume) -> [u64; 6] {
+    let obs = vol.obs();
+    [
+        obs.counter("filter.checks").get(),
+        obs.counter("filter.skips").get(),
+        obs.histogram("dir.probe_depth").count(),
+        obs.counter("sched.requests").get(),
+        obs.counter("sched.merged").get(),
+        obs.counter("sched.seeks_saved").get(),
+    ]
+}
+
+fn delta(after: [u64; 6], before: [u64; 6]) -> [u64; 6] {
+    std::array::from_fn(|i| after[i] - before[i])
+}
+
+/// Per-pair pruning, spelled out: every selected `(slot, value)` pair
+/// is pruned — a repeat as often as it occurs — and every bucket left
+/// goes to one scheduled sweep.
+fn prune_every_pair(
+    wave: &WaveIndex,
+    vol: &mut Volume,
+    selected: &[usize],
+    values: &[SearchValue],
+) {
+    let mut requests = Vec::new();
+    for &j in selected {
+        let idx = wave.slot(j).unwrap();
+        for value in values {
+            if let ProbeOutcome::Bucket(b) = idx.prune_probe(vol, value) {
+                let len = b.count as usize * ENTRY_BYTES;
+                requests.push(ReadRequest::new(b.extent, b.offset, len));
+            }
+        }
+    }
+    if !requests.is_empty() {
+        IoScheduler::read_batch(vol, &requests).unwrap();
+    }
 }
 
 fn launch(case: &Case, arms: usize, reserve_maintenance_arm: bool) -> WaveServer {
@@ -268,6 +387,7 @@ fn launch(case: &Case, arms: usize, reserve_maintenance_arm: bool) -> WaveServer
 
 #[test]
 fn every_reader_matches_the_model() {
+    let mut repeated = BTreeSet::new();
     for seed in 0..96u64 {
         let mut rng = SplitMix64::new(0x5EAD_0000 + seed);
         let case = random_case(&mut rng, seed);
@@ -285,6 +405,7 @@ fn every_reader_matches_the_model() {
         let servers = [launch(&case, 1, false), launch(&case, 4, true)];
 
         let values = random_values(&mut rng);
+        repeated.extend(repeat_kinds(&case, &wave, &values));
         for range in random_ranges(&mut rng, &model) {
             let at = format!("seed {seed} range {range:?}");
             let selected = model.selected(range);
@@ -323,7 +444,25 @@ fn every_reader_matches_the_model() {
                 assert_eq!(whole, vol_b.stats().since(&before), "probe schedule {at}");
             }
 
-            // The same values as one batch.
+            // The same values as one batch: each repeat answers like
+            // its first occurrence, and is still pruned and requested
+            // like any pair, so the batch moves the pruning and
+            // scheduler counters — and the device — exactly as per-pair
+            // pruning into one sweep does.
+            let (before_a, before_b) = (batch_counters(&vol_a), batch_counters(&vol_b));
+            let (stats_a, stats_b) = (vol_a.stats(), vol_b.stats());
+            wave_a.query_batch(&mut vol_a, &values, range).unwrap();
+            prune_every_pair(&wave_b, &mut vol_b, &selected, &values);
+            assert_eq!(
+                delta(batch_counters(&vol_a), before_a),
+                delta(batch_counters(&vol_b), before_b),
+                "batch counters {at}"
+            );
+            assert_eq!(
+                vol_a.stats().since(&stats_a),
+                vol_b.stats().since(&stats_b),
+                "batch schedule {at}"
+            );
             let batch = wave.query_batch(&mut vol, &values, range).unwrap();
             let shared_batch = shared.query_batch(&values, range).unwrap();
             for (vi, want) in want.iter().enumerate() {
@@ -372,6 +511,13 @@ fn every_reader_matches_the_model() {
             assert_eq!(vol.live_blocks(), 0, "seed {seed} leaked blocks");
         }
     }
+    let every = [
+        Repeat::Covered,
+        Repeat::BufferOnly,
+        Repeat::PendingDelete,
+        Repeat::Absent,
+    ];
+    assert_eq!(repeated, every.into(), "batches repeat every kind of value");
 }
 
 /// A transient read burst is ridden out around the device read alone:

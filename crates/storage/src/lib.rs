@@ -72,7 +72,7 @@ pub use error::{StorageError, StorageResult};
 pub use fault::{CrashMode, FaultPlan, FaultyStore};
 pub use file::{FileId, FileStore, IndexStore};
 pub use retry::RetryPolicy;
-pub use sched::{FlushStats, IoScheduler, ReadRequest, WriteBuffer};
+pub use sched::{FlushStats, IoScheduler, ReadRequest, Sweep, WriteBuffer};
 pub use stats::{IoStats, StatsDelta};
 pub use volume::Volume;
 pub use wave_obs::Obs;

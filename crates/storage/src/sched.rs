@@ -25,9 +25,10 @@
 //!    ([`crate::Volume::read_at_bypass`] /
 //!    [`crate::Volume::write_at_bypass`]): cached blocks still hit
 //!    for free, but bulk traffic never evicts the hot working set.
-//! 5. Results are sliced back out of the transfer buffers and
-//!    returned in the original submission order — byte-identical to
-//!    issuing the requests one at a time.
+//! 5. The transfer buffers are returned as a [`Sweep`], which lends
+//!    request `i`'s bytes as a slice ([`Sweep::get`]) in the original
+//!    submission order — byte-identical to issuing the requests one
+//!    at a time, without copying a byte out of the transfers.
 //!
 //! # Flush-before-commit rule
 //!
@@ -127,6 +128,52 @@ struct Plan {
     spanned: usize,
 }
 
+/// The answer of one [`IoScheduler::read_batch`]: the sweep's transfer
+/// buffers, lent out request by request.
+///
+/// The sweep owns the bytes each merged transfer read; [`Sweep::get`]
+/// borrows request `i`'s slice of them. Overlapping, duplicate and
+/// adjacent requests share their transfer's bytes, so a batch holds
+/// each block it read once, however many requests name it.
+#[derive(Debug)]
+pub struct Sweep {
+    /// One buffer per merged transfer, in ascending block order.
+    buffers: Vec<Vec<u8>>,
+    /// Per request, in submission order: `(transfer, start, end)`
+    /// byte range inside that transfer's buffer. A zero-length
+    /// request lends an empty range.
+    slices: Vec<(usize, usize, usize)>,
+}
+
+impl Sweep {
+    /// Number of requests the sweep answered.
+    pub fn len(&self) -> usize {
+        self.slices.len()
+    }
+
+    /// Whether the sweep answered no request (never true for a sweep
+    /// [`IoScheduler::read_batch`] returned: an empty batch is an
+    /// error).
+    pub fn is_empty(&self) -> bool {
+        self.slices.is_empty()
+    }
+
+    /// The bytes of request `i` (submission order): exactly what
+    /// [`Volume::read_at`] of that request returns. An index past the
+    /// batch lends an empty slice.
+    pub fn get(&self, i: usize) -> &[u8] {
+        self.slices
+            .get(i)
+            .and_then(|&(t, start, end)| self.buffers.get(t)?.get(start..end))
+            .unwrap_or(&[])
+    }
+
+    /// Every request's bytes, in submission order.
+    pub fn iter(&self) -> impl Iterator<Item = &[u8]> + '_ {
+        (0..self.len()).map(|i| self.get(i))
+    }
+}
+
 /// Stateless batch scheduler over a [`Volume`].
 ///
 /// All methods are associated functions: the scheduler carries no
@@ -200,7 +247,7 @@ impl IoScheduler {
     }
 
     /// Executes a batch of reads in one elevator sweep and returns the
-    /// results in submission order.
+    /// [`Sweep`] that lends each request's bytes in submission order.
     ///
     /// The answers are byte-identical to issuing each request through
     /// [`Volume::read_at`] in submission order; only the device
@@ -213,7 +260,7 @@ impl IoScheduler {
     /// [`StorageError::EmptyBatch`] for an empty slice;
     /// [`StorageError::OutOfExtent`] if any request overruns its own
     /// extent (checked before any I/O is issued).
-    pub fn read_batch(vol: &mut Volume, requests: &[ReadRequest]) -> StorageResult<Vec<Vec<u8>>> {
+    pub fn read_batch(vol: &mut Volume, requests: &[ReadRequest]) -> StorageResult<Sweep> {
         // Inherit whatever request context rides with the volume, so
         // batched reads issued deep inside a traced request still join
         // its causal tree without every caller threading a context.
@@ -232,7 +279,7 @@ impl IoScheduler {
         vol: &mut Volume,
         requests: &[ReadRequest],
         ctx: wave_obs::TraceCtx,
-    ) -> StorageResult<Vec<Vec<u8>>> {
+    ) -> StorageResult<Sweep> {
         let mut span = vol.obs().clone().child_span(
             ctx,
             "sched.read_batch",
@@ -249,7 +296,7 @@ impl IoScheduler {
         vol: &mut Volume,
         requests: &[ReadRequest],
         span: &mut wave_obs::Span,
-    ) -> StorageResult<Vec<Vec<u8>>> {
+    ) -> StorageResult<Sweep> {
         let plan = Self::plan(requests)?;
         let before = vol.stats();
         let mut buffers: Vec<Vec<u8>> = Vec::with_capacity(plan.transfers.len());
@@ -259,15 +306,24 @@ impl IoScheduler {
         }
         let delta = vol.stats().since(&before);
 
-        let mut results: Vec<Vec<u8>> = vec![Vec::new(); requests.len()];
-        for (i, (r, assigned)) in requests.iter().zip(&plan.assignment).enumerate() {
-            let Some(tid) = assigned else { continue };
-            let (Some(t), Some(buf)) = (plan.transfers.get(*tid), buffers.get(*tid)) else {
+        // Locate each request inside its transfer's buffer; the bytes
+        // stay where the device put them.
+        let mut slices = Vec::with_capacity(requests.len());
+        for (r, assigned) in requests.iter().zip(&plan.assignment) {
+            let Some(tid) = *assigned else {
+                slices.push((0, 0, 0));
                 continue;
             };
             let first_blk = r.extent.start + (r.offset / BLOCK_SIZE) as u64;
-            let rel = ((first_blk - t.first) as usize) * BLOCK_SIZE + r.offset % BLOCK_SIZE;
-            let Some(bytes) = buf.get(rel..rel + r.len) else {
+            let located = plan
+                .transfers
+                .get(tid)
+                .zip(buffers.get(tid))
+                .and_then(|(t, buf)| {
+                    let rel = ((first_blk - t.first) as usize) * BLOCK_SIZE + r.offset % BLOCK_SIZE;
+                    (rel + r.len <= buf.len()).then_some((tid, rel, rel + r.len))
+                });
+            let Some(slice) = located else {
                 // Unreachable by construction (the transfer covers
                 // every merged span); surfaced as the typed range
                 // error rather than a panic on the serving path.
@@ -277,9 +333,7 @@ impl IoScheduler {
                     len: r.len,
                 });
             };
-            if let Some(slot) = results.get_mut(i) {
-                *slot = bytes.to_vec();
-            }
+            slices.push(slice);
         }
 
         let obs = vol.obs().clone();
@@ -296,7 +350,7 @@ impl IoScheduler {
             "latency_us",
             (delta.sim_seconds * 1e6).round().max(0.0) as u64,
         );
-        Ok(results)
+        Ok(Sweep { buffers, slices })
     }
 }
 
@@ -531,6 +585,12 @@ mod tests {
         (vol, extent)
     }
 
+    /// Every request's bytes as the sweep lends them, in submission
+    /// order.
+    fn lent(sweep: &Sweep) -> Vec<Vec<u8>> {
+        sweep.iter().map(<[u8]>::to_vec).collect()
+    }
+
     #[test]
     fn empty_batch_is_a_typed_error() {
         let mut vol = Volume::default();
@@ -565,8 +625,9 @@ mod tests {
         ];
         let out = IoScheduler::read_batch(&mut vol, &batch).unwrap();
         assert_eq!(out.len(), 2);
-        assert!(out[0].is_empty());
-        assert_eq!(out[1], vol.read_at(extent, 0, 8).unwrap());
+        assert!(out.get(0).is_empty());
+        assert_eq!(out.get(1), vol.read_at(extent, 0, 8).unwrap());
+        assert!(out.get(2).is_empty(), "past the batch lends nothing");
     }
 
     #[test]
@@ -584,7 +645,7 @@ mod tests {
             .map(|r| vol.read_at(r.extent, r.offset, r.len).unwrap())
             .collect();
         let got = IoScheduler::read_batch(&mut vol, &batch).unwrap();
-        assert_eq!(got, expect);
+        assert_eq!(lent(&got), expect);
     }
 
     #[test]
@@ -628,7 +689,7 @@ mod tests {
             .collect();
         let before = vol.stats();
         let got = IoScheduler::read_batch(&mut vol, &batch).unwrap();
-        assert_eq!(got, expect);
+        assert_eq!(lent(&got), expect);
         let delta = vol.stats().since(&before);
         assert_eq!(delta.blocks_read, 6, "the 2-block overlap reads once");
     }
@@ -683,7 +744,7 @@ mod tests {
             let naive_delta = naive_vol.stats().since(&naive_before);
 
             let sched_before = sched_vol.stats();
-            let sched = IoScheduler::read_batch(&mut sched_vol, &batch).unwrap();
+            let sched = lent(&IoScheduler::read_batch(&mut sched_vol, &batch).unwrap());
             let sched_delta = sched_vol.stats().since(&sched_before);
 
             assert_eq!(sched, naive, "round {round}: answers must match");
@@ -849,7 +910,83 @@ mod tests {
         vol.write_at(b, 0, &vec![2u8; b.byte_len()]).unwrap();
         let batch = [ReadRequest::whole(b), ReadRequest::whole(a)];
         let out = IoScheduler::read_batch(&mut vol, &batch).unwrap();
-        assert_eq!(out[0], vec![2u8; b.byte_len()]);
-        assert_eq!(out[1], vec![1u8; a.byte_len()]);
+        assert_eq!(out.get(0), vec![2u8; b.byte_len()]);
+        assert_eq!(out.get(1), vec![1u8; a.byte_len()]);
+    }
+
+    /// Satellite property test: for seeded random batches over two
+    /// disks — zero-length, overlapping, duplicate and cross-disk
+    /// requests mixed — every slice the sweep lends equals
+    /// `Volume::read_at` of its request; and the same batch with one
+    /// out-of-extent request added anywhere fails before any I/O,
+    /// leaving the disk stats and the scheduler counters unchanged.
+    #[test]
+    fn lent_slices_equal_read_at_for_random_batches() {
+        let mut rng = SplitMix64::new(0x5EE9_51CE);
+        for round in 0..32 {
+            let obs = Obs::noop();
+            let mut vol = Volume::with_disks_obs(DiskConfig::default(), 2, obs.clone());
+            // Round-robin allocation puts alternate extents on
+            // alternate disks.
+            let extents: Vec<Extent> = (0..4)
+                .map(|k| {
+                    let e = vol.alloc_blocks(2 + rng.range_u64(0, 10)).unwrap();
+                    let data: Vec<u8> = (0..e.byte_len()).map(|i| (i % 241 + k) as u8).collect();
+                    vol.write_at(e, 0, &data).unwrap();
+                    e
+                })
+                .collect();
+            let n = 1 + rng.range_u64(0, 19) as usize;
+            let mut batch: Vec<ReadRequest> = Vec::with_capacity(n);
+            while batch.len() < n {
+                let e = extents[rng.range_u64(0, 3) as usize];
+                let cap = e.byte_len();
+                let earlier = (!batch.is_empty())
+                    .then(|| batch[rng.range_u64(0, batch.len() as u64 - 1) as usize]);
+                let r = match (rng.range_u64(0, 3), earlier) {
+                    (0, _) => ReadRequest::new(e, rng.range_u64(0, cap as u64) as usize, 0),
+                    (1, Some(dup)) => dup,
+                    (2, Some(prev)) if prev.len > 0 => {
+                        // Starts inside an earlier request's bytes.
+                        let offset = prev.offset + rng.range_u64(0, prev.len as u64 - 1) as usize;
+                        let room = prev.extent.byte_len() - offset;
+                        ReadRequest::new(
+                            prev.extent,
+                            offset,
+                            1 + rng.range_u64(0, room as u64 - 1) as usize,
+                        )
+                    }
+                    _ => {
+                        let offset = rng.range_u64(0, cap as u64 - 1) as usize;
+                        let len = rng.range_u64(1, (cap - offset) as u64) as usize;
+                        ReadRequest::new(e, offset, len.min(3 * BLOCK_SIZE))
+                    }
+                };
+                batch.push(r);
+            }
+            let expect: Vec<Vec<u8>> = batch
+                .iter()
+                .map(|r| vol.read_at(r.extent, r.offset, r.len).unwrap())
+                .collect();
+            let sweep = IoScheduler::read_batch(&mut vol, &batch).unwrap();
+            assert_eq!(sweep.len(), batch.len(), "round {round}");
+            for (i, want) in expect.iter().enumerate() {
+                assert_eq!(sweep.get(i), &want[..], "round {round}: request {i}");
+            }
+
+            let e = extents[rng.range_u64(0, 3) as usize];
+            let overrun = ReadRequest::new(e, e.byte_len() - 1, 2);
+            let mut bad = batch.clone();
+            bad.insert(rng.range_u64(0, batch.len() as u64) as usize, overrun);
+            let counters = || {
+                ["sched.requests", "sched.merged", "sched.seeks_saved"]
+                    .map(|name| obs.counter(name).get())
+            };
+            let (stats, before) = (vol.stats(), counters());
+            let err = IoScheduler::read_batch(&mut vol, &bad).unwrap_err();
+            assert!(matches!(err, StorageError::OutOfExtent { .. }), "{err}");
+            assert_eq!(vol.stats(), stats, "round {round}: no I/O before the error");
+            assert_eq!(counters(), before, "round {round}: no counter moved");
+        }
     }
 }
