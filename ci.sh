@@ -144,6 +144,11 @@ cargo test -q -p wave-index --test crash_recovery --offline \
 # `chaos` suite below.
 echo "==> degraded serving under recovery"
 cargo test -q -p wave-index --test degraded_serving --offline
+# The server's own unit tests — worker kill and restart, the breaker
+# state machine, retry and quarantine, settle balance — named so a
+# filter can never skip them.
+echo "==> server unit tests"
+cargo test -q -p wave-index --lib --offline server::tests
 
 # Every evaluation suite at its CI-sized preset. Each states a bound
 # and a violated one fails the run after printing its table, so a red

@@ -11,18 +11,25 @@
 //!
 //! # Architecture
 //!
-//! A server owns a fixed thread pool with **one worker per arm** of a
-//! [`DiskArray`]. Each worker exclusively owns its arm's
-//! [`Volume`] and the [`ConstituentIndex`]es
-//! placed there — shared-nothing, so workers never contend on storage.
-//! A slot→arm routing table (an [`ArmMap`] realisation, round-robin
-//! or greedy by constituent weight) decides placement.
+//! Each arm of a [`DiskArray`] is one shared-nothing unit of state:
+//! its [`Volume`] and the [`ConstituentIndex`]es placed there, behind
+//! one mutex (the arm's *core*). A slot→arm routing table (an
+//! [`ArmMap`] realisation, round-robin or greedy by constituent
+//! weight) decides placement.
 //!
-//! Queries fan out over the arms that own intersecting slots, run
-//! concurrently, and merge in ascending slot order — so a
-//! [`WaveServer`] returns **exactly** the entries a single-threaded
-//! [`WaveIndex`](crate::wave::WaveIndex) would, in the same order,
-//! while reporting elapsed time as the busiest arm's share.
+//! **Reads run on the caller's thread.** A probe, scan or batch visits
+//! the arms that own intersecting slots one after another, answering
+//! each in place under that arm's core lock, and merges in ascending
+//! slot order — so a [`WaveServer`] returns **exactly** the entries a
+//! single-threaded [`WaveIndex`](crate::wave::WaveIndex) would, in the
+//! same order, while reporting elapsed time as the busiest arm's
+//! share. Concurrent readers on different arms still run in parallel;
+//! no read crosses a thread or waits on a channel.
+//!
+//! **Workers serve maintenance.** The server keeps **one worker
+//! thread per arm** for the requests that change or report an arm —
+//! builds, drops, status and shutdown — so a build runs on its arm's
+//! worker, off every reader's thread.
 //!
 //! # Maintenance
 //!
@@ -46,13 +53,15 @@
 //! Serving survives three fault classes, each with a bounded, typed
 //! recovery path (tuned by [`FaultConfig`]):
 //!
-//! * **Worker death** — every request is supervised: a worker whose
-//!   channel closed is restarted against the *same* shared arm state
-//!   (volume + constituents, behind an `Arc<Mutex<_>>`), and requests
-//!   that died unprocessed are re-issued. Restarts mint root-spanned
-//!   traces and bump `server.worker_restarts`.
-//! * **Transient read errors** — arm workers retry probe/scan/batch
-//!   reads under a bounded [`RetryPolicy`], counting
+//! * **Worker death** — reads need no worker, so a dead worker never
+//!   fails or delays a query. Every maintenance request is supervised:
+//!   a worker whose channel closed is restarted against the *same*
+//!   shared arm state (volume + constituents, behind an
+//!   `Arc<Mutex<_>>`), and requests that died unprocessed are
+//!   re-issued. Restarts mint root-spanned traces and bump
+//!   `server.worker_restarts`.
+//! * **Transient read errors** — each arm's probe/scan/batch reads are
+//!   retried under a bounded [`RetryPolicy`], counting
 //!   `server.read_retries`; blips shorter than the retry budget are
 //!   invisible to callers.
 //! * **Persistent arm failure** — a per-arm circuit breaker trips
@@ -103,14 +112,16 @@ pub struct ServerConfig {
 /// Fault-tolerance tuning for a [`WaveServer`].
 #[derive(Debug, Clone, Copy)]
 pub struct FaultConfig {
-    /// Retry policy the arm workers apply to transient read errors on
-    /// the probe/scan/batch serving paths. The default never sleeps
+    /// Retry policy applied to transient read errors on each arm's
+    /// probe/scan/batch serving paths. The default never sleeps
     /// (backoff would only slow the simulation down); production-shaped
     /// deployments can swap in a jittered policy.
     pub retry: RetryPolicy,
-    /// Worker restarts a single request tolerates (at dispatch or
-    /// after losing its reply) before reporting
-    /// [`IndexError::WorkerLost`].
+    /// Worker restarts a single maintenance request (build, drop,
+    /// status, shutdown) tolerates, at dispatch or after losing its
+    /// reply, before reporting [`IndexError::WorkerLost`]. Reads run
+    /// on the caller's thread under the arm's lock and never wait on a
+    /// worker, so no restart is ever needed to answer one.
     pub restart_attempts: u32,
     /// Consecutive failed queries on an arm that trip its breaker.
     pub trip_after: u32,
@@ -339,40 +350,40 @@ impl Breaker {
     }
 }
 
-/// What a query asks of every arm. A probe and a one-value batch
-/// return the same entries but differ in device schedule — the probe
-/// reads through the cache, the batch in one bypassing sweep — so they
-/// stay distinct operations.
-#[derive(Clone)]
-enum ReadOp {
-    Probe(SearchValue),
-    Scan,
-    Batch(Vec<SearchValue>),
+/// What a query asks of every arm, borrowed from the caller: a probe
+/// or a scan of each selected slot, or a batch of probes. A probe and
+/// a one-value batch return the same entries but differ in device
+/// schedule — the probe reads through the cache, the batch in one
+/// bypassing sweep — so they stay distinct operations.
+#[derive(Clone, Copy)]
+enum ReadOp<'a> {
+    Each(Read<'a>),
+    Batch(&'a [SearchValue]),
 }
 
-impl ReadOp {
+impl<'a> ReadOp<'a> {
     /// The probed values; `None` for a scan, which reads everything.
-    fn values(&self) -> Option<&[SearchValue]> {
+    fn values(self) -> Option<&'a [SearchValue]> {
         match self {
-            ReadOp::Probe(value) => Some(std::slice::from_ref(value)),
-            ReadOp::Scan => None,
+            ReadOp::Each(Read::Probe(value)) => Some(std::slice::from_ref(value)),
+            ReadOp::Each(Read::Scan) => None,
             ReadOp::Batch(values) => Some(values),
         }
     }
 
     /// Name of the per-arm child span.
-    fn arm_span(&self) -> &'static str {
+    fn arm_span(self) -> &'static str {
         match self {
-            ReadOp::Probe(_) => "arm.probe",
-            ReadOp::Scan => "arm.scan",
+            ReadOp::Each(Read::Probe(_)) => "arm.probe",
+            ReadOp::Each(Read::Scan) => "arm.scan",
             ReadOp::Batch(_) => "arm.batch",
         }
     }
 }
 
-/// What an arm sends back for a read request: for each intersecting
-/// slot, one entry list per column — one column per queried value of
-/// a batch, a single column for a probe or a scan.
+/// What an arm answers to a read: for each intersecting slot, one
+/// entry list per column — one column per queried value of a batch, a
+/// single column for a probe or a scan.
 struct ArmAnswer {
     per_slot: Vec<(usize, Vec<Vec<Entry>>)>,
     io: StatsDelta,
@@ -389,13 +400,9 @@ struct BuildDone {
     filter: Option<MembershipFilter>,
 }
 
+/// The maintenance requests an arm's worker serves. Reads are not
+/// among them: they run on the caller's thread under the arm's lock.
 enum ArmRequest {
-    Read {
-        what: ReadOp,
-        range: TimeRange,
-        ctx: TraceCtx,
-        reply: Sender<IndexResult<ArmAnswer>>,
-    },
     Build {
         slot: usize,
         label: String,
@@ -420,12 +427,12 @@ enum ArmRequest {
     },
 }
 
-/// Worker state: one arm and its constituents. Shared between the
+/// Arm state: one arm and its constituents. Shared between the
 /// server and whichever worker thread currently serves the arm (via
 /// `Arc<Mutex<_>>`), so a replacement thread after a worker death
 /// reattaches to the same volume and indexes — supervision loses no
-/// state. The mutex is effectively uncontended: the worker holds it
-/// per request; the server only takes it for chaos/fault hooks.
+/// state. Readers hold the mutex for one arm's answer, the worker for
+/// one maintenance request, and the chaos/fault hooks for one call.
 struct ArmState {
     arm: usize,
     cfg: IndexConfig,
@@ -441,7 +448,7 @@ struct ArmState {
 
 impl ArmState {
     /// Runs one request body under a per-arm child span of the
-    /// server-side root `ctx`, so every worker-side event carries the
+    /// server-side root `ctx`, so every arm-side event carries the
     /// request's `trace_id` and a `parent_id` naming the fan-out span.
     /// The span's end fields report the arm's simulated busy time
     /// (`latency_us`) on success or the typed error on failure — the
@@ -477,7 +484,12 @@ impl ArmState {
     /// scheduled I/O sweep of the arm under `ctx`, a probe or a scan
     /// reads constituent by constituent. Transient device errors are
     /// retried under the arm's policy.
-    fn answer(&mut self, what: &ReadOp, range: TimeRange, ctx: TraceCtx) -> IndexResult<ArmAnswer> {
+    fn answer(
+        &mut self,
+        what: ReadOp<'_>,
+        range: TimeRange,
+        ctx: TraceCtx,
+    ) -> IndexResult<ArmAnswer> {
         let retry = Some((&self.retry, &self.retries));
         let vol = &mut self.vol;
         let before = vol.stats();
@@ -493,8 +505,7 @@ impl ArmState {
                 };
                 read::read_batch(selected, vol, values, range, ctx, retry, emit).map(|_| per_slot)
             }
-            ReadOp::Probe(value) => one_by_one(selected, vol, Read::Probe(value), range, retry),
-            ReadOp::Scan => one_by_one(selected, vol, Read::Scan, range, retry),
+            ReadOp::Each(read) => one_by_one(selected, vol, read, range, retry),
         }?;
         Ok(ArmAnswer {
             per_slot,
@@ -534,18 +545,6 @@ impl ArmState {
     /// safely re-issue.
     fn handle(&mut self, req: ArmRequest) -> bool {
         match req {
-            ArmRequest::Read {
-                what,
-                range,
-                ctx,
-                reply,
-            } => {
-                let result = self.traced(ctx, what.arm_span(), |s, arm_ctx| {
-                    s.answer(&what, range, arm_ctx)
-                });
-                let _ = reply.send(result);
-                true
-            }
             ArmRequest::Build {
                 slot,
                 label,
@@ -691,6 +690,15 @@ impl ArmLink {
         self.core.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
+    /// Enters one request into flight: bumps `requests` and the
+    /// pending gauge. The caller owes exactly one [`ArmLink::settle`]
+    /// or [`ArmLink::settle_err`].
+    fn enter(&self) {
+        self.requests.inc();
+        self.depth
+            .set((self.pending.fetch_add(1, Ordering::Relaxed) + 1) as f64);
+    }
+
     /// Books the I/O of one completed request and balances `pending`.
     fn settle(&self, io: &StatsDelta) {
         self.depth
@@ -722,8 +730,8 @@ struct InFlight<R> {
 
 /// Server-side summary of one routed slot, captured from the arm that
 /// built its constituent: the day span plus a copy of the membership
-/// filter. The fan-out consults it *before* dispatching, so an arm
-/// none of whose slots can match a probe gets no request at all.
+/// filter. The fan-out consults it *before* reading an arm, so an arm
+/// none of whose slots can match a probe is never locked or read.
 struct SlotMeta {
     span: Option<(Day, Day)>,
     filter: Option<MembershipFilter>,
@@ -731,9 +739,11 @@ struct SlotMeta {
 
 /// Routing state guarded by one `RwLock`: readers hold it for the
 /// duration of a query (so they see one consistent placement
-/// generation, as [`crate::concurrent::SharedWave`] promises);
-/// maintenance takes it exclusively only for the O(1) flip, which also
-/// installs the new generation's [`SlotMeta`].
+/// generation, as [`crate::concurrent::SharedWave`] promises) and take
+/// one arm's core lock at a time beneath it; maintenance takes it
+/// exclusively only for the O(1) flip, holding no core lock then, and
+/// workers never take it — so the route → core order has no cycle.
+/// The flip also installs the new generation's [`SlotMeta`].
 struct Route {
     arm_of: BTreeMap<usize, usize>,
     maintenance: Option<usize>,
@@ -780,6 +790,11 @@ pub struct WaveServer {
     cfg: ServerConfig,
     obs: Obs,
     queries: Counter,
+    /// `filter.checks`, `filter.skips` and `filter.arm_elisions`, as
+    /// moved by an elided arm.
+    filter_checks: Counter,
+    filter_skips: Counter,
+    arm_elisions: Counter,
     /// `server.degraded_queries`: answers served with explicit gaps.
     degraded: Counter,
     /// `server.worker_restarts`: supervised worker replacements.
@@ -789,9 +804,9 @@ pub struct WaveServer {
 }
 
 impl WaveServer {
-    /// Launches one worker thread per arm of `array`. The workers
-    /// exit when the server is [shut down](WaveServer::shutdown) (or
-    /// dropped).
+    /// Launches one maintenance worker thread per arm of `array`. The
+    /// workers exit when the server is [shut down](WaveServer::shutdown)
+    /// (or dropped).
     ///
     /// # Errors
     /// [`IndexError::BadConfig`] if `cfg.reserve_maintenance_arm` is
@@ -862,6 +877,9 @@ impl WaveServer {
             epoch: AtomicU64::new(0),
             cfg,
             queries: obs.counter("server.queries"),
+            filter_checks: obs.counter("filter.checks"),
+            filter_skips: obs.counter("filter.skips"),
+            arm_elisions: obs.counter("filter.arm_elisions"),
             degraded: obs.counter("server.degraded_queries"),
             worker_restarts: obs.counter("server.worker_restarts"),
             breaker_trips: obs.counter("server.breaker_trips"),
@@ -1010,9 +1028,7 @@ impl WaveServer {
     /// caller owes exactly one [`ArmLink::settle`] /
     /// [`ArmLink::settle_err`].
     fn send_to(&self, link: &ArmLink, req: ArmRequest) -> IndexResult<u64> {
-        link.requests.inc();
-        link.depth
-            .set((link.pending.fetch_add(1, Ordering::Relaxed) + 1) as f64);
+        link.enter();
         let mut worker = link.lock_worker();
         let mut req = req;
         let mut restarts = 0u32;
@@ -1138,10 +1154,11 @@ impl WaveServer {
     }
 
     /// Chaos hook: kills `arm`'s worker thread. The worker exits
-    /// without replying; requests still queued behind the kill are
-    /// re-issued by their supervising callers against the restarted
-    /// worker, which reattaches to the same arm state. A worker that
-    /// is already dead makes this a no-op.
+    /// without replying; maintenance requests still queued behind the
+    /// kill are re-issued by their supervising callers against the
+    /// restarted worker, which reattaches to the same arm state. Reads
+    /// need no worker and are unaffected. A worker that is already
+    /// dead makes this a no-op.
     pub fn kill_worker(&self, arm: usize) -> IndexResult<()> {
         let link = self.arm(arm)?;
         let worker = link.lock_worker();
@@ -1292,7 +1309,7 @@ impl WaveServer {
     /// of the values. Returns the range-intersecting slots whose
     /// access the caller must reconstruct (an un-elided arm would have
     /// reported each with empty entries), or `None` if the arm must be
-    /// asked. A slot without metadata or filter forces dispatch —
+    /// read. A slot without metadata or filter forces the read —
     /// elision is an optimisation, never a guess.
     fn elide_arm(
         &self,
@@ -1319,13 +1336,13 @@ impl WaveServer {
             }
             reconstructed.push(slot);
         }
-        // Count only on a successful elision: a dispatched arm
+        // Count only on a successful elision: an arm that is read
         // re-checks its own filters and counts there, so every
         // consulted (slot, value) pair is counted exactly once.
         let pairs = (reconstructed.len() * values.len()) as u64;
-        self.obs.counter("filter.checks").add(pairs);
-        self.obs.counter("filter.skips").add(pairs);
-        self.obs.counter("filter.arm_elisions").inc();
+        self.filter_checks.add(pairs);
+        self.filter_skips.add(pairs);
+        self.arm_elisions.inc();
         Some(reconstructed)
     }
 
@@ -1338,13 +1355,14 @@ impl WaveServer {
 
     /// `TimedIndexProbe` fanned out over the owning arms.
     pub fn probe(&self, value: &SearchValue, range: TimeRange) -> IndexResult<ServerQuery> {
-        self.gather(ReadOp::Probe(value.clone()), range)
+        self.gather(ReadOp::Each(Read::Probe(value)), range)
             .map(ServerQuery::from)
     }
 
     /// `TimedSegmentScan` fanned out over the owning arms.
     pub fn scan(&self, range: TimeRange) -> IndexResult<ServerQuery> {
-        self.gather(ReadOp::Scan, range).map(ServerQuery::from)
+        self.gather(ReadOp::Each(Read::Scan), range)
+            .map(ServerQuery::from)
     }
 
     /// A batch of `TimedIndexProbe`s over one range, fanned out with
@@ -1370,15 +1388,15 @@ impl WaveServer {
                 partial: None,
             });
         }
-        self.gather(ReadOp::Batch(values.to_vec()), range)
+        self.gather(ReadOp::Batch(values), range)
     }
 
     /// The one fan-out behind [`WaveServer::probe`], [`WaveServer::scan`]
-    /// and [`WaveServer::query_batch`]: admit → elide → dispatch →
-    /// collect → route-snapshot filter → missing slots → ascending
-    /// merge. The answer has one column per queried value (a single
-    /// column for a probe or a scan).
-    fn gather(&self, what: ReadOp, range: TimeRange) -> IndexResult<ServerBatchQuery> {
+    /// and [`WaveServer::query_batch`]: admit → elide → read each arm →
+    /// route-snapshot filter → missing slots → ascending merge. The
+    /// answer has one column per queried value (a single column for a
+    /// probe or a scan).
+    fn gather(&self, what: ReadOp<'_>, range: TimeRange) -> IndexResult<ServerBatchQuery> {
         // Readers hold the route lock for the whole query: one
         // consistent generation, maintenance flips wait for us.
         let route = self.route_read()?;
@@ -1388,7 +1406,7 @@ impl WaveServer {
         // "op" not "kind": the JSONL envelope already uses "kind" for
         // the event kind.
         let columns = what.values().map_or(1, <[_]>::len);
-        let (op, done, mut span) = match &what {
+        let (op, done, mut span) = match what {
             ReadOp::Batch(values) => (
                 "server.query_batch",
                 "server.query_batch.done",
@@ -1397,8 +1415,8 @@ impl WaveServer {
                     fields![("values", values.len() as u64), ("fanout", fanout)],
                 ),
             ),
-            single => {
-                let kind = if matches!(single, ReadOp::Scan) {
+            ReadOp::Each(read) => {
+                let kind = if matches!(read, Read::Scan) {
                     "scan"
                 } else {
                     "probe"
@@ -1412,27 +1430,21 @@ impl WaveServer {
             }
         };
         let ctx = span.ctx();
-        let make = |reply| ArmRequest::Read {
-            what: what.clone(),
-            range,
-            ctx,
-            reply,
-        };
         let result = (|| -> IndexResult<ServerBatchQuery> {
-            // Dispatch to every admitted arm first so they work
-            // concurrently; arms the breaker holds in quarantine are
-            // skipped up front and reported as missing slots. An arm
-            // whose routing metadata proves that no probed value can
-            // match any of its slots gets *no request at all* — its
-            // (empty) contribution is reconstructed below, so the
-            // answer stays byte-identical; one possible hit anywhere
-            // dispatches the whole request to it. The breaker is
-            // consulted first so elision never changes
-            // quarantine/cooldown pacing.
+            // Every admitted arm is answered in place, one after
+            // another, under its core lock; arms the breaker holds in
+            // quarantine are skipped up front and reported as missing
+            // slots. An arm whose routing metadata proves that no
+            // probed value can match any of its slots is not read at
+            // all — its (empty) contribution is reconstructed here, so
+            // the answer stays byte-identical; one possible hit
+            // anywhere reads the whole arm. The breaker is consulted
+            // first so elision never changes quarantine/cooldown
+            // pacing.
             let mut missing_arms: Vec<usize> = Vec::new();
             let mut first_err: Option<IndexError> = None;
-            let mut dispatched: Vec<(&ArmLink, InFlight<IndexResult<ArmAnswer>>)> = Vec::new();
             let mut per_slot: Vec<(usize, Vec<Vec<Entry>>)> = Vec::new();
+            let mut per_arm_seconds = vec![0.0f64; self.arms.len()];
             for &arm in &target_arms {
                 let link = self.arm(arm)?;
                 if !self.admit(link) {
@@ -1443,23 +1455,22 @@ impl WaveServer {
                     .values()
                     .and_then(|values| self.elide_arm(&route, arm, values, range));
                 if let Some(slots) = elided {
-                    // Mirror an un-elided arm's answer shape: one empty
+                    // Mirror a read arm's answer shape: one empty
                     // entry list per column for each intersecting slot.
                     per_slot.extend(slots.into_iter().map(|s| (s, vec![Vec::new(); columns])));
                     continue;
                 }
-                match self.dispatch(link, &make) {
-                    Ok(inf) => dispatched.push((link, inf)),
-                    Err(e) => self.absorb_arm_failure(link, e, &mut missing_arms, &mut first_err),
-                }
-            }
-            let mut per_arm_seconds = vec![0.0f64; self.arms.len()];
-            for (link, inf) in dispatched {
-                match self.collect(link, inf, "arm worker disconnected mid-query", &make) {
-                    Ok(Ok(answer)) => {
+                link.enter();
+                // The core guard is a temporary of this statement: the
+                // arm is unlocked before its breaker is touched.
+                let answered = link.lock_core().traced(ctx, what.arm_span(), |s, arm_ctx| {
+                    s.answer(what, range, arm_ctx)
+                });
+                match answered {
+                    Ok(answer) => {
                         link.settle(&answer.io);
                         link.lock_breaker().record_success();
-                        if let Some(s) = per_arm_seconds.get_mut(link.arm) {
+                        if let Some(s) = per_arm_seconds.get_mut(arm) {
                             *s = answer.io.sim_seconds;
                         }
                         // During a maintenance hand-over two arms briefly
@@ -1472,17 +1483,15 @@ impl WaveServer {
                             answer
                                 .per_slot
                                 .into_iter()
-                                .filter(|(slot, _)| route.arm_of.get(slot) == Some(&link.arm)),
+                                .filter(|(slot, _)| route.arm_of.get(slot) == Some(&arm)),
                         );
                     }
-                    Ok(Err(e)) => {
-                        // The worker is alive and replied with a typed
-                        // error (e.g. a transient burst outlasting the
-                        // retry budget).
+                    Err(e) => {
+                        // A typed read error, e.g. a transient burst
+                        // outlasting the retry budget.
                         link.settle(&StatsDelta::default());
                         self.absorb_arm_failure(link, e, &mut missing_arms, &mut first_err);
                     }
-                    Err(e) => self.absorb_arm_failure(link, e, &mut missing_arms, &mut first_err),
                 }
             }
             if let Some(e) = first_err {
@@ -1636,13 +1645,19 @@ impl WaveServer {
                 self.epoch.store(epoch, Ordering::Release);
             }
             // Garbage-collect the displaced generation. No query can
-            // reach it: the flip already routed the slot away.
-            let link = self.arm(old_arm)?;
-            let make = |reply| ArmRequest::Drop { slot, reply };
-            let inf = self.dispatch(link, &make)?;
-            let dropped = self.collect(link, inf, "displaced arm disconnected during GC", &make)?;
-            link.settle(&StatsDelta::default());
-            dropped?;
+            // reach it: the flip already routed the slot away. When the
+            // slot already lived on the maintenance arm (more slots than
+            // query arms), the build replaced it in place and released
+            // the old generation itself; a Drop would delete the new one.
+            if old_arm != build_arm {
+                let link = self.arm(old_arm)?;
+                let make = |reply| ArmRequest::Drop { slot, reply };
+                let inf = self.dispatch(link, &make)?;
+                let dropped =
+                    self.collect(link, inf, "displaced arm disconnected during GC", &make)?;
+                link.settle(&StatsDelta::default());
+                dropped?;
+            }
             span.event("server.maintain.done", fields![("epoch", epoch)]);
             Ok(MaintainReport {
                 epoch,
@@ -1921,6 +1936,41 @@ mod tests {
         server.shutdown().unwrap();
     }
 
+    /// With more slots than query arms the arm that becomes the
+    /// maintenance arm can still own slots; maintaining one of them
+    /// rebuilds it in place on that arm, and the rebuilt generation
+    /// must stay served.
+    #[test]
+    fn maintaining_a_slot_on_the_maintenance_arm_keeps_it() {
+        let server = WaveServer::launch(
+            DiskArray::new(DiskConfig::default(), 3),
+            ServerConfig {
+                reserve_maintenance_arm: true,
+                ..Default::default()
+            },
+            Obs::noop(),
+        )
+        .unwrap();
+        // Four slots on two query arms: arm 0 owns slots 0 and 2.
+        server.install_wave(slot_batches(4, 10)).unwrap();
+        assert_eq!(server.arm_of(2), Some(0));
+        let want = server
+            .probe(&SearchValue::from("k"), TimeRange::all())
+            .unwrap();
+        server.maintain(0, vec![day_batch(1, 10, "k")]).unwrap();
+        assert_eq!(server.maintenance_arm(), Some(0));
+        let report = server.maintain(2, vec![day_batch(3, 10, "k")]).unwrap();
+        assert_eq!((report.built_on, report.released_from), (0, 0));
+        let got = server
+            .probe(&SearchValue::from("k"), TimeRange::all())
+            .unwrap();
+        assert_eq!(got.entries, want.entries);
+        assert!(got.partial.is_none());
+        let slots: usize = server.status().unwrap().iter().map(|s| s.slots.len()).sum();
+        assert_eq!(slots, 4);
+        server.shutdown().unwrap();
+    }
+
     #[test]
     fn maintain_requires_reserved_arm_and_installed_slot() {
         let server = WaveServer::launch(
@@ -2121,11 +2171,18 @@ mod tests {
         for arm in 0..2 {
             server.kill_worker(arm).unwrap();
         }
+        // Reads run on the caller's thread: dead workers neither fail
+        // nor delay them, and no restart is needed to answer.
         let got = server
             .probe(&SearchValue::from("k"), TimeRange::all())
             .unwrap();
-        assert_eq!(got.entries, want.entries, "restarted workers lose nothing");
+        assert_eq!(got.entries, want.entries, "dead workers lose nothing");
         assert!(got.partial.is_none());
+        assert_eq!(obs.counter("server.worker_restarts").get(), 0);
+        // A worker-bound request restarts both workers against the
+        // same arm state.
+        let status = server.status().unwrap();
+        assert_eq!(status.iter().map(|s| s.slots.len()).sum::<usize>(), 4);
         assert!(obs.counter("server.worker_restarts").get() >= 2);
         for arm in 0..2 {
             assert_eq!(
@@ -2134,6 +2191,71 @@ mod tests {
                 "pending accounting survives restarts"
             );
         }
+        server.shutdown().unwrap();
+    }
+
+    /// Every arm a query asks is entered and settled exactly once —
+    /// healthy, failing past its retry budget, or answering a scan —
+    /// while an elided or quarantined arm is not asked at all.
+    #[test]
+    fn reads_settle_every_asked_arm_exactly_once() {
+        use std::sync::Arc;
+        use wave_obs::MemorySink;
+        let obs = Obs::new(Arc::new(MemorySink::new()));
+        let server = WaveServer::launch(
+            DiskArray::new(DiskConfig::default(), 3),
+            ServerConfig {
+                fault: FaultConfig {
+                    // The failing arm never trips and the quarantined
+                    // arm never cools down within the test, so which
+                    // arm is asked depends on elision alone.
+                    trip_after: 1_000,
+                    cooldown: 1_000,
+                    ..FaultConfig::default()
+                },
+                ..ServerConfig::default()
+            },
+            obs.clone(),
+        )
+        .unwrap();
+        // Slot j holds day j + 1 on arm j.
+        server.install_wave(slot_batches(3, 20)).unwrap();
+        for slot in 0..3 {
+            assert_eq!(server.arm_of(slot), Some(slot));
+        }
+        let requests = |arm: usize| obs.counter(&format!("server.arm{arm}.requests")).get();
+        let before: Vec<u64> = (0..3).map(requests).collect();
+        server.quarantine_arm(1).unwrap();
+        server.inject_transient_reads(2, 0, 1_000_000).unwrap();
+
+        // Day 1 lies in slot 0 only, so a probe or a batch over it
+        // elides arm 2. A scan is never elided: it asks arm 2, which
+        // then selects no slot, reads nothing and cannot fail.
+        let day1 = TimeRange::between(Day(1), Day(1));
+        let values = [SearchValue::from("k"), SearchValue::from_u64(3)];
+        let mut asked = [0u64; 3];
+        for range in [TimeRange::all(), day1] {
+            let arm2_reads = range == TimeRange::all();
+            let want_missing = if arm2_reads { vec![1, 2] } else { vec![1] };
+            let probe = server.probe(&SearchValue::from("k"), range).unwrap();
+            let batch = server.query_batch(&values, range).unwrap();
+            let scan = server.scan(range).unwrap();
+            for partial in [probe.partial, batch.partial, scan.partial] {
+                assert_eq!(partial.unwrap().missing_slots, want_missing, "{range:?}");
+            }
+            asked[0] += 3;
+            asked[2] += if arm2_reads { 3 } else { 1 };
+        }
+        assert!(obs.counter("filter.arm_elisions").get() >= 2);
+        for arm in 0..3 {
+            assert_eq!(requests(arm) - before[arm], asked[arm], "arm {arm}");
+            assert_eq!(
+                obs.gauge(&format!("server.arm{arm}.queue_depth")).get(),
+                0.0,
+                "arm {arm}"
+            );
+        }
+        server.clear_arm_faults(2).unwrap();
         server.shutdown().unwrap();
     }
 

@@ -2,8 +2,9 @@
 //! reply-carrying request variant replies exactly once.
 //!
 //! The fault-tolerant server's supervision (PR 7) rests on one
-//! invariant: every request accepted into flight (`send_to` bumps the
-//! pending gauge) is settled exactly once (`ArmLink::settle` /
+//! invariant: every request accepted into flight (`ArmLink::enter`
+//! bumps the pending gauge, for a worker request via `send_to` and for
+//! a read on the caller's thread directly) is settled exactly once (`ArmLink::settle` /
 //! `settle_err` decrement it), and the worker sends exactly one reply
 //! per reply-carrying request — a lost reply must always mean an
 //! *unprocessed* request, or supervised re-issue duplicates work.
@@ -20,9 +21,9 @@
 //!   `.settle_err(` / a `reply.send(`), or have a direct caller that
 //!   does (the factory pattern: `build_request` returns a closure and
 //!   its *callers* own the obligation).
-//! * **Machinery side** — any function that directly calls `send_to(`
-//!   or `dispatch(` enters requests into flight and must reach a
-//!   settle. The primitives themselves are exempt — and, in the
+//! * **Machinery side** — any function that directly calls `enter(`,
+//!   `send_to(` or `dispatch(` enters requests into flight and must
+//!   reach a settle. The primitives themselves are exempt — and, in the
 //!   effect propagation, a callee's settles are *not* inherited
 //!   through them ([`Effects::settles`]), so `send_to`'s internal
 //!   error-path settles can never discharge a caller's obligation.
@@ -42,9 +43,9 @@ use crate::scan::matching;
 const FILE: &str = "crates/core/src/server.rs";
 /// The request enum.
 const ENUM: &str = "ArmRequest";
-/// Dispatch primitives: exempt from the machinery check, and settles
-/// do not launder through them.
-const PRIMITIVES: &[&str] = &["send_to", "dispatch"];
+/// Entry and dispatch primitives: exempt from the machinery check,
+/// and settles do not launder through the dispatch pair.
+const PRIMITIVES: &[&str] = &["enter", "send_to", "dispatch"];
 
 /// See the [module docs](self).
 pub struct SettleExactlyOnce;
@@ -160,8 +161,8 @@ impl GraphRule for SettleExactlyOnce {
                     file: FILE.to_string(),
                     line: f.line,
                     message: format!(
-                        "`{}` enters requests into flight (send_to/dispatch) but never reaches \
-                         a settle",
+                        "`{}` enters requests into flight (enter/send_to/dispatch) but never \
+                         reaches a settle",
                         graph.label(id)
                     ),
                 });
@@ -388,6 +389,20 @@ mod tests {
             }\n\
         }\n";
         assert!(run(body).is_empty(), "{:?}", run(body));
+    }
+
+    #[test]
+    fn entering_a_read_without_settling_is_flagged() {
+        let body = "impl ArmLink {\n\
+            fn enter(&self) { self.pending.fetch_add(1, Relaxed); }\n\
+        }\n\
+        impl WaveServer {\n\
+            fn forgetful(&self, link: &ArmLink) { link.enter(); read(link); }\n\
+            fn diligent(&self, link: &ArmLink) { link.enter(); link.settle(&io); }\n\
+        }\n";
+        let got = run(body);
+        assert_eq!(got.len(), 1, "{got:?}");
+        assert!(got[0].message.contains("::forgetful`"), "{got:?}");
     }
 
     #[test]
