@@ -144,6 +144,23 @@ cargo test -q -p wave-index --test crash_recovery --offline \
 # `chaos` suite below.
 echo "==> degraded serving under recovery"
 cargo test -q -p wave-index --test degraded_serving --offline
+# Its harness is paced by reader progress, so it must pass every time:
+# a failure in 50 back-to-back runs is a bug, not bad luck.
+echo "==> degraded serving, 50 repeats"
+degraded=$(cargo test -q -p wave-index --test degraded_serving --offline \
+  --no-run --message-format=json 2>/dev/null \
+  | sed -n 's/.*"executable":"\([^"]*degraded_serving[^"]*\)".*/\1/p' | tail -n 1)
+if [ -z "$degraded" ]; then
+  echo "degraded_serving: test binary not found" >&2
+  exit 1
+fi
+for run in $(seq 1 50); do
+  "$degraded" -q > target/degraded_serving.out 2>&1 || {
+    cat target/degraded_serving.out >&2
+    echo "degraded_serving failed on repeat $run of 50" >&2
+    exit 1
+  }
+done
 # The server's own unit tests — worker kill and restart, the breaker
 # state machine, retry and quarantine, settle balance — named so a
 # filter can never skip them.

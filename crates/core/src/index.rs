@@ -48,14 +48,15 @@ pub struct IndexConfig {
 ///
 /// Produced by [`ConstituentIndex::prune_probe`]; the batched query
 /// paths use it to decide which bucket reads to enqueue at all.
-#[derive(Debug, Clone)]
-pub enum ProbeOutcome {
+#[derive(Debug, Clone, Copy)]
+pub enum ProbeOutcome<'a> {
     /// The membership filter proved the value absent — no directory
     /// walk, no I/O, empty answer.
     Skipped,
-    /// The value is covered in memory; these are exactly the bytes a
-    /// bucket read would have decoded, at zero seeks.
-    Covered(Vec<Entry>),
+    /// The value is covered in memory; these are exactly the entries a
+    /// bucket read would have decoded, at zero seeks, lent by the
+    /// constituent.
+    Covered(&'a [Entry]),
     /// The value has a bucket; the caller reads it as usual.
     Bucket(BucketRef),
     /// The directory has no bucket for the value (if a filter is
@@ -641,7 +642,7 @@ impl ConstituentIndex {
     /// the single pruning decision of the read path (`read.rs`), so a
     /// solo probe, a batch and the server's arm workers skip and cover
     /// identically. Increments the `filter.*` counters.
-    pub fn prune_probe(&self, vol: &Volume, value: &SearchValue) -> ProbeOutcome {
+    pub fn prune_probe(&self, vol: &Volume, value: &SearchValue) -> ProbeOutcome<'_> {
         if let Some(filter) = &self.filter {
             vol.obs().counter("filter.checks").inc();
             if !filter.may_contain(value) {
@@ -651,7 +652,7 @@ impl ConstituentIndex {
         }
         if let Some(entries) = self.covering.get(value) {
             vol.obs().counter("filter.covering_hits").inc();
-            return ProbeOutcome::Covered(entries.clone());
+            return ProbeOutcome::Covered(entries);
         }
         match self.bucket_for(vol, value) {
             Some(bucket) => ProbeOutcome::Bucket(bucket),
@@ -660,7 +661,7 @@ impl ConstituentIndex {
                 // pending adds are the whole logical bucket, served at
                 // zero seeks like a covered value.
                 if let Some(pending) = self.ingest.adds_for(value) {
-                    return ProbeOutcome::Covered(pending.clone());
+                    return ProbeOutcome::Covered(pending);
                 }
                 if self.filter.is_some() {
                     vol.obs().counter("filter.false_positives").inc();

@@ -5,12 +5,12 @@
 //! constituent whose time-set intersects `[T1, T2]`, ascending, and
 //! concatenate. Every reader in this crate — [`WaveIndex`], the
 //! per-slot timings of [`crate::parallel`], [`SharedWave`] and the
-//! server's arm workers — goes through the three functions here:
+//! server's arms — goes through the functions here:
 //!
 //! 1. [`select`] picks the slots;
 //! 2. [`read_slot`] reads one constituent (a probe or a scan);
 //! 3. [`read_batch`] reads many values from the selected slots in one
-//!    device sweep.
+//!    device sweep, and [`fold`] writes their answers.
 //!
 //! A probe of one `(slot, value)` is always the same sequence:
 //! **prune** ([`ConstituentIndex::prune_probe`]: membership filter,
@@ -38,7 +38,7 @@
 //!   occurs twice in a batch is pruned twice and its bucket requested
 //!   twice, so the counters and the device schedule are those of
 //!   per-pair pruning; only the decode runs once per slot, and the
-//!   repeat gets a clone of that answer.
+//!   repeat gets one copy of the finished answer ([`fold`]).
 //! * **Answers do not depend on the caller.** Every path returns the
 //!   same entries in the same order; only the device schedule differs
 //!   — a single probe reads its buckets through the cache in slot
@@ -54,7 +54,8 @@
 //! [`WaveIndex`]: crate::wave::WaveIndex
 //! [`SharedWave`]: crate::concurrent::SharedWave
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
+use std::ops::Range;
 
 use wave_obs::{Counter, TraceCtx};
 use wave_storage::{IoScheduler, ReadRequest, RetryPolicy, Sweep, Volume};
@@ -114,36 +115,30 @@ fn bucket_bytes(bucket: &BucketRef) -> usize {
     bucket.count as usize * ENTRY_BYTES
 }
 
-/// The tail of the sequence for one pruned `(slot, value)`: covered
-/// entries are already logical and only lose what lies outside the
-/// range; a bucket is fetched and decoded as far as the range and the
-/// ingest overlay keep it ([`ConstituentIndex::decode_bucket_in`]).
-/// `fetch` is the only step that differs — a cached read of the one
-/// bucket, or the next buffer of a sweep.
+/// The tail of the sequence for one pruned `(slot, value)`, appended
+/// to `out`: covered entries are already logical and only lose what
+/// lies outside the range; a bucket is fetched and decoded as far as
+/// the range and the ingest overlay keep it
+/// ([`ConstituentIndex::decode_bucket_in`]). `fetch` is the only step
+/// that differs — a cached read of the one bucket, or the next buffer
+/// of a sweep.
 fn finish<B: AsRef<[u8]>>(
     idx: &ConstituentIndex,
     value: &SearchValue,
-    outcome: ProbeOutcome,
+    outcome: ProbeOutcome<'_>,
     range: TimeRange,
     fetch: impl FnOnce(&BucketRef) -> IndexResult<B>,
-) -> IndexResult<Vec<Entry>> {
+    out: &mut Vec<Entry>,
+) -> IndexResult<()> {
     match outcome {
-        ProbeOutcome::Skipped | ProbeOutcome::Absent => Ok(Vec::new()),
-        ProbeOutcome::Covered(mut entries) => {
-            entries.retain(|e| range.contains(e.day));
-            Ok(entries)
+        ProbeOutcome::Skipped | ProbeOutcome::Absent => Ok(()),
+        ProbeOutcome::Covered(entries) => {
+            out.extend(entries.iter().filter(|e| range.contains(e.day)));
+            Ok(())
         }
         ProbeOutcome::Bucket(bucket) => {
             let fetched = fetch(&bucket)?;
-            let mut entries = Vec::with_capacity(bucket.count as usize);
-            idx.decode_bucket_in(
-                value,
-                fetched.as_ref(),
-                bucket.count as usize,
-                range,
-                &mut entries,
-            )?;
-            Ok(entries)
+            idx.decode_bucket_in(value, fetched.as_ref(), bucket.count as usize, range, out)
         }
     }
 }
@@ -163,27 +158,100 @@ pub(crate) fn read_slot(
         Read::Scan => with_retry(retry, || idx.scan_in(vol, range)),
         Read::Probe(value) => {
             let outcome = idx.prune_probe(vol, value);
-            finish(idx, value, outcome, range, |bucket| {
+            let mut entries = Vec::with_capacity(match outcome {
+                ProbeOutcome::Covered(entries) => entries.len(),
+                ProbeOutcome::Bucket(bucket) => bucket.count as usize,
+                ProbeOutcome::Skipped | ProbeOutcome::Absent => 0,
+            });
+            let fetch = |bucket: &BucketRef| {
                 with_retry(retry, || {
                     Ok(vol.read_at(bucket.extent, bucket.offset, bucket_bytes(bucket))?)
                 })
-            })
+            };
+            finish(idx, value, outcome, range, fetch, &mut entries)?;
+            Ok(entries)
         }
     }
 }
 
-/// For each of `values`: the index of its first occurrence, and
-/// whether it occurs again later in the batch.
-fn repeats(values: &[SearchValue]) -> Vec<(usize, bool)> {
+/// For each of `values`: the index of its first occurrence — the
+/// column map a batch folds with ([`fold`]).
+pub(crate) fn firsts(values: &[SearchValue]) -> Vec<usize> {
     let mut first: BTreeMap<&SearchValue, usize> = BTreeMap::new();
-    let mut out: Vec<(usize, bool)> = values
+    values
         .iter()
         .enumerate()
-        .map(|(vi, value)| (*first.entry(value).or_insert(vi), false))
-        .collect();
-    let mut seen: BTreeSet<&SearchValue> = BTreeSet::new();
-    for (value, (_, again)) in values.iter().zip(&mut out).rev() {
-        *again = !seen.insert(value);
+        .map(|(vi, value)| *first.entry(value).or_insert(vi))
+        .collect()
+}
+
+/// One `(slot, value)` answer of a batch: `arena[entries]`.
+struct Span {
+    slot: usize,
+    value: usize,
+    entries: Range<usize>,
+}
+
+/// What [`read_batch`] read: every first occurrence's non-empty answer
+/// as a span of one arena, in slot-then-value order, and the selected
+/// slots (each one an access, whatever its answers).
+pub(crate) struct Batch {
+    arena: Vec<Entry>,
+    spans: Vec<Span>,
+    slots: Vec<usize>,
+}
+
+impl Batch {
+    /// The selected slots, ascending.
+    pub(crate) fn slots(&self) -> &[usize] {
+        &self.slots
+    }
+
+    /// Drops the slots `keep` rejects, with their answers.
+    pub(crate) fn retain_slots(&mut self, keep: impl Fn(usize) -> bool) {
+        self.slots.retain(|&slot| keep(slot));
+        self.spans.retain(|span| keep(span.slot));
+    }
+
+    /// Every `(slot, value index, entries)` answer, in slot-then-value
+    /// order; a value index names the value's first occurrence.
+    pub(crate) fn answers(&self) -> impl Iterator<Item = (usize, usize, &[Entry])> + Clone {
+        self.spans.iter().map(|span| {
+            let entries = self.arena.get(span.entries.clone()).unwrap_or_default();
+            (span.slot, span.value, entries)
+        })
+    }
+}
+
+/// Folds `(column, entries)` answers, given in ascending slot order,
+/// into one answer per column: each column is sized once from its
+/// answers' lengths and filled in the order given, which reproduces
+/// the per-probe concatenation. `firsts` maps every column to the
+/// column of its first occurrence, and a repeated column gets one
+/// copy of that finished answer. A probe or a scan is one column.
+pub(crate) fn fold<'e>(
+    firsts: &[usize],
+    answers: impl Iterator<Item = (usize, &'e [Entry])> + Clone,
+) -> Vec<Vec<Entry>> {
+    let mut lens = vec![0; firsts.len()];
+    for (column, entries) in answers.clone() {
+        if let Some(len) = lens.get_mut(column) {
+            *len += entries.len();
+        }
+    }
+    let mut out: Vec<Vec<Entry>> = lens.into_iter().map(Vec::with_capacity).collect();
+    for (column, entries) in answers {
+        if let Some(answer) = out.get_mut(column) {
+            answer.extend_from_slice(entries);
+        }
+    }
+    for (column, &first) in firsts.iter().enumerate() {
+        if first != column {
+            let copy = out.get(first).cloned().unwrap_or_default();
+            if let Some(answer) = out.get_mut(column) {
+                *answer = copy;
+            }
+        }
     }
     out
 }
@@ -193,14 +261,11 @@ fn repeats(values: &[SearchValue]) -> Vec<(usize, bool)> {
 /// in memory first, then *all* the buckets left to fetch go to the
 /// [`IoScheduler`] as one batch under `ctx` — sorted by block address,
 /// adjacent buckets merged into single transfers, shared blocks read
-/// once. Buckets decode straight from the slices the [`Sweep`] lends,
-/// and a value repeated in `values` decodes once per slot: its repeats
-/// are pruned and requested like any pair, then answered with a clone
-/// of the first occurrence's entries. Every `(slot, value)` answer is
-/// handed to `emit(slot, value index, entries)` in slot-then-value
-/// order as soon as it is decoded, so a caller that folds answers
-/// into per-value results holds no entry twice; returns the number of
-/// selected slots.
+/// once. Buckets decode straight from the slices the [`Sweep`] lends
+/// into one arena, and a value repeated in `values` decodes once per
+/// slot: its repeats are pruned and requested like any pair, but only
+/// the first occurrence's answer is written, and [`fold`] copies the
+/// finished answer to the repeats.
 pub(crate) fn read_batch<'a>(
     selected: impl Iterator<Item = (usize, &'a ConstituentIndex)>,
     vol: &mut Volume,
@@ -208,8 +273,7 @@ pub(crate) fn read_batch<'a>(
     range: TimeRange,
     ctx: TraceCtx,
     retry: Retry<'_>,
-    mut emit: impl FnMut(usize, usize, Vec<Entry>),
-) -> IndexResult<usize> {
+) -> IndexResult<Batch> {
     let mut requests = Vec::new();
     let mut plan: Vec<(usize, &ConstituentIndex, Vec<ProbeOutcome>)> = Vec::new();
     for (slot, idx) in selected {
@@ -241,36 +305,44 @@ pub(crate) fn read_batch<'a>(
     // plan is walked. A request past the sweep lends no bytes, which
     // `decode_bucket_in` reports as a corrupt bucket.
     let lend = |i: usize| sweep.as_ref().map(|s| s.get(i)).unwrap_or_default();
-    let repeats = repeats(values);
+    let firsts = firsts(values);
     let mut next = 0;
-    // A first occurrence's answer, kept for the repeats that follow it
-    // in the same slot; the last repeat takes it.
-    let mut kept: Vec<Vec<Entry>> = vec![Vec::new(); values.len()];
-    let accessed = plan.len();
+    // The arena grows as it is filled. A bucket's `count` bounds its
+    // answer before the range and the overlay cut it, so reserving by
+    // it over-allocates wherever the range is narrow.
+    let mut batch = Batch {
+        arena: Vec::new(),
+        spans: Vec::new(),
+        slots: Vec::with_capacity(plan.len()),
+    };
     for (slot, idx, outcomes) in plan {
-        let pairs = outcomes.into_iter().zip(values).zip(&repeats);
-        for (vi, ((outcome, value), &(first, again))) in pairs.enumerate() {
+        batch.slots.push(slot);
+        let pairs = outcomes.into_iter().zip(values).zip(&firsts);
+        for (vi, ((outcome, value), &first)) in pairs.enumerate() {
             let request = next;
             if matches!(outcome, ProbeOutcome::Bucket(_)) {
                 next += 1;
             }
-            let entries = if first == vi {
-                let entries = finish(idx, value, outcome, range, |_| Ok(lend(request)))?;
-                if again {
-                    if let Some(keep) = kept.get_mut(vi) {
-                        keep.clone_from(&entries);
-                    }
-                }
-                entries
-            } else {
-                match kept.get_mut(first) {
-                    Some(keep) if again => keep.clone(),
-                    Some(keep) => std::mem::take(keep),
-                    None => Vec::new(),
-                }
-            };
-            emit(slot, vi, entries);
+            if first != vi {
+                continue;
+            }
+            let start = batch.arena.len();
+            finish(
+                idx,
+                value,
+                outcome,
+                range,
+                |_| Ok(lend(request)),
+                &mut batch.arena,
+            )?;
+            if batch.arena.len() > start {
+                batch.spans.push(Span {
+                    slot,
+                    value: vi,
+                    entries: start..batch.arena.len(),
+                });
+            }
         }
     }
-    Ok(accessed)
+    Ok(batch)
 }

@@ -381,12 +381,50 @@ impl<'a> ReadOp<'a> {
     }
 }
 
-/// What an arm answers to a read: for each intersecting slot, one
-/// entry list per column — one column per queried value of a batch, a
-/// single column for a probe or a scan.
+/// What an arm answers to a read, and the I/O it cost.
 struct ArmAnswer {
-    per_slot: Vec<(usize, Vec<Vec<Entry>>)>,
+    answers: Answers,
     io: StatsDelta,
+}
+
+/// An arm's answers to one read, each tagged with its slot.
+enum Answers {
+    /// A probe or a scan: each selected slot's entries.
+    Each(Vec<(usize, Vec<Entry>)>),
+    /// A batch: the arm's one arena and its `(slot, value)` spans
+    /// ([`read::Batch`]); [`read::fold`] writes the per-value answers.
+    Batch(read::Batch),
+}
+
+impl Answers {
+    /// Drops the slots `keep` rejects, with their answers.
+    fn retain_slots(&mut self, keep: impl Fn(usize) -> bool) {
+        match self {
+            Answers::Each(per_slot) => per_slot.retain(|(slot, _)| keep(*slot)),
+            Answers::Batch(batch) => batch.retain_slots(keep),
+        }
+    }
+
+    /// How many slots answered (each one an access).
+    fn slots(&self) -> usize {
+        match self {
+            Answers::Each(per_slot) => per_slot.len(),
+            Answers::Batch(batch) => batch.slots().len(),
+        }
+    }
+
+    /// Lends every `(slot, column, entries)` answer to `out`; a probe
+    /// or a scan has the one column 0.
+    fn lend<'a>(&'a self, out: &mut Vec<(usize, usize, &'a [Entry])>) {
+        match self {
+            Answers::Each(per_slot) => out.extend(
+                per_slot
+                    .iter()
+                    .map(|(slot, entries)| (*slot, 0, entries.as_slice())),
+            ),
+            Answers::Batch(batch) => out.extend(batch.answers()),
+        }
+    }
 }
 
 /// What an arm sends back for a build request: besides the I/O
@@ -494,21 +532,14 @@ impl ArmState {
         let vol = &mut self.vol;
         let before = vol.stats();
         let selected = read::select(self.slots.iter().map(|(&slot, idx)| (slot, idx)), range);
-        let per_slot = match what {
+        let answers = match what {
             ReadOp::Batch(values) => {
-                // Answers arrive in slot-then-value order: a new slot
-                // opens a new row, its values fill the columns.
-                let mut per_slot: Vec<(usize, Vec<Vec<Entry>>)> = Vec::new();
-                let emit = |slot, _, entries| match per_slot.last_mut() {
-                    Some((last, columns)) if *last == slot => columns.push(entries),
-                    _ => per_slot.push((slot, vec![entries])),
-                };
-                read::read_batch(selected, vol, values, range, ctx, retry, emit).map(|_| per_slot)
+                Answers::Batch(read::read_batch(selected, vol, values, range, ctx, retry)?)
             }
-            ReadOp::Each(read) => one_by_one(selected, vol, read, range, retry),
-        }?;
+            ReadOp::Each(read) => Answers::Each(one_by_one(selected, vol, read, range, retry)?),
+        };
         Ok(ArmAnswer {
-            per_slot,
+            answers,
             io: vol.stats().since(&before),
         })
     }
@@ -590,16 +621,16 @@ impl ArmState {
 }
 
 /// A probe or a scan of the selected slots, constituent by
-/// constituent, shaped like a one-column batch.
+/// constituent.
 fn one_by_one<'a>(
     selected: impl Iterator<Item = (usize, &'a ConstituentIndex)>,
     vol: &mut Volume,
     what: Read<'_>,
     range: TimeRange,
     retry: Retry<'_>,
-) -> IndexResult<Vec<(usize, Vec<Vec<Entry>>)>> {
+) -> IndexResult<Vec<(usize, Vec<Entry>)>> {
     selected
-        .map(|(slot, idx)| Ok((slot, vec![read::read_slot(idx, vol, what, range, retry)?])))
+        .map(|(slot, idx)| Ok((slot, read::read_slot(idx, vol, what, range, retry)?)))
         .collect()
 }
 
@@ -1393,7 +1424,7 @@ impl WaveServer {
 
     /// The one fan-out behind [`WaveServer::probe`], [`WaveServer::scan`]
     /// and [`WaveServer::query_batch`]: admit → elide → read each arm →
-    /// route-snapshot filter → missing slots → ascending merge. The
+    /// route-snapshot filter → missing slots → fold in slot order. The
     /// answer has one column per queried value (a single column for a
     /// probe or a scan).
     fn gather(&self, what: ReadOp<'_>, range: TimeRange) -> IndexResult<ServerBatchQuery> {
@@ -1405,7 +1436,6 @@ impl WaveServer {
         let fanout = target_arms.len() as u64;
         // "op" not "kind": the JSONL envelope already uses "kind" for
         // the event kind.
-        let columns = what.values().map_or(1, <[_]>::len);
         let (op, done, mut span) = match what {
             ReadOp::Batch(values) => (
                 "server.query_batch",
@@ -1443,7 +1473,8 @@ impl WaveServer {
             // pacing.
             let mut missing_arms: Vec<usize> = Vec::new();
             let mut first_err: Option<IndexError> = None;
-            let mut per_slot: Vec<(usize, Vec<Vec<Entry>>)> = Vec::new();
+            let mut answered: Vec<Answers> = Vec::new();
+            let mut accessed = 0;
             let mut per_arm_seconds = vec![0.0f64; self.arms.len()];
             for &arm in &target_arms {
                 let link = self.arm(arm)?;
@@ -1455,19 +1486,19 @@ impl WaveServer {
                     .values()
                     .and_then(|values| self.elide_arm(&route, arm, values, range));
                 if let Some(slots) = elided {
-                    // Mirror a read arm's answer shape: one empty
-                    // entry list per column for each intersecting slot.
-                    per_slot.extend(slots.into_iter().map(|s| (s, vec![Vec::new(); columns])));
+                    // A read arm would have answered each intersecting
+                    // slot with nothing: only the accesses remain.
+                    accessed += slots.len();
                     continue;
                 }
                 link.enter();
                 // The core guard is a temporary of this statement: the
                 // arm is unlocked before its breaker is touched.
-                let answered = link.lock_core().traced(ctx, what.arm_span(), |s, arm_ctx| {
+                let answer = link.lock_core().traced(ctx, what.arm_span(), |s, arm_ctx| {
                     s.answer(what, range, arm_ctx)
                 });
-                match answered {
-                    Ok(answer) => {
+                match answer {
+                    Ok(mut answer) => {
                         link.settle(&answer.io);
                         link.lock_breaker().record_success();
                         if let Some(s) = per_arm_seconds.get_mut(arm) {
@@ -1479,12 +1510,11 @@ impl WaveServer {
                         // its Drop. The route snapshot held across this
                         // query decides whose answer counts, so readers
                         // never see a slot twice.
-                        per_slot.extend(
-                            answer
-                                .per_slot
-                                .into_iter()
-                                .filter(|(slot, _)| route.arm_of.get(slot) == Some(&arm)),
-                        );
+                        answer
+                            .answers
+                            .retain_slots(|slot| route.arm_of.get(&slot) == Some(&arm));
+                        accessed += answer.answers.slots();
+                        answered.push(answer.answers);
                     }
                     Err(e) => {
                         // A typed read error, e.g. a transient burst
@@ -1504,25 +1534,19 @@ impl WaveServer {
                 .map(|(s, _)| *s)
                 .collect();
             drop(route);
-            // Merge in ascending slot order, column by column:
-            // byte-identical to the single-threaded WaveIndex iteration.
-            // Each column is sized once from its slots' answers.
-            per_slot.sort_by_key(|(slot, _)| *slot);
-            let accessed = per_slot.len();
-            let mut per_value: Vec<Vec<Entry>> = (0..columns)
-                .map(|c| {
-                    let len = per_slot
-                        .iter()
-                        .filter_map(|(_, cols)| cols.get(c))
-                        .map(Vec::len);
-                    Vec::with_capacity(len.sum())
-                })
-                .collect();
-            for (_, slot_columns) in per_slot {
-                for (out, entries) in per_value.iter_mut().zip(slot_columns) {
-                    out.extend(entries);
-                }
+            // Fold in ascending slot order: byte-identical to the
+            // single-threaded WaveIndex iteration. The stable sort
+            // keeps each slot's answers in column order.
+            let mut lent: Vec<(usize, usize, &[Entry])> = Vec::new();
+            for answers in &answered {
+                answers.lend(&mut lent);
             }
+            lent.sort_by_key(|&(slot, _, _)| slot);
+            let firsts = match what {
+                ReadOp::Batch(values) => read::firsts(values),
+                ReadOp::Each(_) => vec![0],
+            };
+            let per_value = read::fold(&firsts, lent.iter().map(|&(_, c, entries)| (c, entries)));
             let elapsed = per_arm_seconds.iter().fold(0.0f64, |a, &b| a.max(b));
             let serial = per_arm_seconds.iter().sum();
             let partial = (!missing_slots.is_empty()).then_some(PartialAnswer { missing_slots });
@@ -1761,9 +1785,10 @@ impl Drop for WaveServer {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::index::ProbeOutcome;
     use crate::record::{Day, Record, RecordId};
-    use crate::wave::WaveIndex;
-    use wave_storage::DiskConfig;
+    use crate::wave::{QueryResult, WaveIndex};
+    use wave_storage::{DiskConfig, IoScheduler, ReadRequest};
 
     fn day_batch(day: u32, records: u64, word: &str) -> DayBatch {
         DayBatch::new(
@@ -1871,6 +1896,267 @@ mod tests {
         assert!(empty.per_value.is_empty());
         assert_eq!(empty.indexes_accessed, 0);
         server.shutdown().unwrap();
+    }
+
+    /// Slots of the batch-fold fixture: three query arms round robin,
+    /// so arm 0 owns slots 0 and 3, arm 1 slots 1 and 4, arm 2 slots
+    /// 2 and 5.
+    const FOLD_SLOTS: usize = 6;
+
+    /// Day `day` of fixture slot `j`: every record holds its slot's own
+    /// `s{j}`; slots on arms 0 and 1 add the hot `k` to every record and
+    /// `m` to every other one, slots on arm 2 hold `z` instead.
+    fn fold_day(j: usize, day: u32) -> DayBatch {
+        let records = (0..4 + j as u64).map(|i| {
+            let mut values = vec![SearchValue::from(format!("s{j}").as_str())];
+            if j % 3 == 2 {
+                values.push(SearchValue::from("z"));
+            } else {
+                values.push(SearchValue::from("k"));
+                if i % 2 == 0 {
+                    values.push(SearchValue::from("m"));
+                }
+            }
+            Record::with_values(RecordId(day as u64 * 1_000 + i), values)
+        });
+        DayBatch::new(Day(day), records.collect())
+    }
+
+    /// What slot 1 buffers: the deletion of its first day, and a new
+    /// day whose `b` exists in no bucket.
+    fn fold_buffered() -> (BTreeSet<Day>, DayBatch) {
+        let add = DayBatch::new(
+            Day(14),
+            (0..3)
+                .map(|i| {
+                    Record::with_values(
+                        RecordId(14_000 + i),
+                        ["k", "m", "b"].map(SearchValue::from),
+                    )
+                })
+                .collect(),
+        );
+        ([Day(11)].into(), add)
+    }
+
+    /// Covering keeps each constituent's hottest bucket (`k`) in memory.
+    fn fold_cfg() -> IndexConfig {
+        IndexConfig {
+            filter: crate::filter::FilterConfig {
+                covering_hot: 1,
+                ..Default::default()
+            },
+            ..Default::default()
+        }
+    }
+
+    /// Fixture slot `j`'s days `10j+1..=10j+3`; `logical` applies slot
+    /// 1's buffered update to them.
+    fn fold_days(j: usize, logical: bool) -> Vec<DayBatch> {
+        let first = 10 * j as u32 + 1;
+        let mut days: Vec<DayBatch> = (first..first + 3).map(|day| fold_day(j, day)).collect();
+        if j == 1 && logical {
+            let (del, add) = fold_buffered();
+            days.retain(|b| !del.contains(&b.day));
+            days.push(add);
+        }
+        days
+    }
+
+    /// The fixture as a `WaveIndex`; `dirty` leaves slot 1's update in
+    /// its ingest buffer, otherwise slot 1 is built from its logical
+    /// days, as the server builds it.
+    fn fold_wave(vol: &mut Volume, dirty: bool) -> WaveIndex {
+        let (del, add) = fold_buffered();
+        let mut wave = WaveIndex::with_slots(FOLD_SLOTS);
+        for j in 0..FOLD_SLOTS {
+            let days = fold_days(j, !dirty);
+            let refs: Vec<&DayBatch> = days.iter().collect();
+            let mut idx =
+                ConstituentIndex::build_packed(format!("f{j}"), fold_cfg(), vol, &refs).unwrap();
+            if j == 1 && dirty {
+                idx.buffer_update(vol, &del, &[&add]);
+            }
+            wave.install(j, idx);
+        }
+        wave
+    }
+
+    /// `filter.checks`, `filter.skips`, `filter.covering_hits`,
+    /// `filter.false_positives`, the `dir.probe_depth` sample count and
+    /// `sched.requests`.
+    fn pair_counters(obs: &Obs) -> [u64; 6] {
+        [
+            obs.counter("filter.checks").get(),
+            obs.counter("filter.skips").get(),
+            obs.counter("filter.covering_hits").get(),
+            obs.counter("filter.false_positives").get(),
+            obs.histogram("dir.probe_depth").count(),
+            obs.counter("sched.requests").get(),
+        ]
+    }
+
+    /// The counters a batch must move: every selected `(slot, value)`
+    /// pruned — a repeat as often as it occurs — and every bucket left
+    /// requested, measured on `vol`.
+    fn per_pair_counters(
+        wave: &WaveIndex,
+        vol: &mut Volume,
+        values: &[SearchValue],
+        range: TimeRange,
+    ) -> [u64; 6] {
+        let before = pair_counters(vol.obs());
+        let mut requests = Vec::new();
+        for (_, idx) in read::select(wave.iter(), range) {
+            for value in values {
+                if let ProbeOutcome::Bucket(b) = idx.prune_probe(vol, value) {
+                    let len = b.count as usize * crate::entry::ENTRY_BYTES;
+                    requests.push(ReadRequest::new(b.extent, b.offset, len));
+                }
+            }
+        }
+        if !requests.is_empty() {
+            IoScheduler::read_batch(vol, &requests).unwrap();
+        }
+        let after = pair_counters(vol.obs());
+        std::array::from_fn(|i| after[i] - before[i])
+    }
+
+    /// A batch writes each distinct `(slot, value)` once and folds the
+    /// answers in slot order; every answer still equals its per-value
+    /// probe byte for byte, on a dirty `WaveIndex` and on a server with
+    /// a maintenance arm and an elided arm, and the pruning and
+    /// scheduler counters still count every pair, repeats included.
+    #[test]
+    fn query_batch_folds_each_answer_once_in_slot_order() {
+        let by_name = |names: &[&str]| -> Vec<SearchValue> {
+            names.iter().map(|&n| SearchValue::from(n)).collect()
+        };
+        // Repeats adjacent and far apart; covered (`k`), bucket (`m`,
+        // with slot 1's pending delete), buffer-only (`b`), absent,
+        // and per-slot values.
+        let wide = by_name(&[
+            "k", "k", "m", "s1", "absent", "b", "m", "z", "s4", "k", "absent", "b", "m", "s1",
+        ]);
+        // Nothing on arm 2's slots: the server elides that arm.
+        let narrow = by_name(&["m", "k", "absent", "m", "b", "k", "m", "s0", "k"]);
+        let ranges = [
+            TimeRange::all(),
+            // Cuts slots 0 and 1 and leaves out arm 2's slots.
+            TimeRange::between(Day(2), Day(12)),
+            TimeRange::between(Day(12), Day(42)),
+        ];
+
+        let mut vol = Volume::default();
+        let wave = fold_wave(&mut vol, true);
+        let mut twin_vol = Volume::default();
+        let twin = fold_wave(&mut twin_vol, true);
+        let mut clean_vol = Volume::default();
+        let clean = fold_wave(&mut clean_vol, false);
+        // The dirty slot serves every kind of value.
+        let slot1 = wave.slot(1).unwrap();
+        let outcome = |v: &str| slot1.prune_probe(&clean_vol, &SearchValue::from(v));
+        assert!(matches!(outcome("k"), ProbeOutcome::Covered(_)));
+        assert!(matches!(outcome("m"), ProbeOutcome::Bucket(_)));
+        assert!(matches!(outcome("b"), ProbeOutcome::Covered(_)));
+        assert!(matches!(
+            outcome("absent"),
+            ProbeOutcome::Skipped | ProbeOutcome::Absent
+        ));
+
+        let obs = Obs::noop();
+        let server = WaveServer::launch(
+            DiskArray::new(DiskConfig::default(), 4),
+            ServerConfig {
+                index: fold_cfg(),
+                reserve_maintenance_arm: true,
+                ..Default::default()
+            },
+            obs.clone(),
+        )
+        .unwrap();
+        let logical: Vec<Vec<DayBatch>> = (0..FOLD_SLOTS).map(|j| fold_days(j, true)).collect();
+        server.install_wave(logical.clone()).unwrap();
+        assert_eq!(server.maintenance_arm(), Some(3));
+        for (slot, arm) in [(0, 0), (1, 1), (2, 2), (3, 0), (4, 1), (5, 2)] {
+            assert_eq!(server.arm_of(slot), Some(arm));
+        }
+
+        let elisions = obs.counter("filter.arm_elisions");
+        for (values, elides_arm2) in [(&wide, false), (&narrow, true)] {
+            for range in ranges {
+                let at = format!("{values:?} {range:?}");
+                let solo: Vec<QueryResult> = values
+                    .iter()
+                    .map(|v| wave.timed_index_probe(&mut vol, v, range).unwrap())
+                    .collect();
+                // Byte for byte against per-value probes, on the
+                // WaveIndex and on the server.
+                let want = per_pair_counters(&twin, &mut twin_vol, values, range);
+                let before = pair_counters(vol.obs());
+                let batch = wave.query_batch(&mut vol, values, range).unwrap();
+                let after = pair_counters(vol.obs());
+                let moved: [u64; 6] = std::array::from_fn(|i| after[i] - before[i]);
+                assert_eq!(moved, want, "wave counters {at}");
+                for (vi, (got, want)) in batch.iter().zip(&solo).enumerate() {
+                    assert_eq!(got.entries, want.entries, "wave value {vi} {at}");
+                    assert_eq!(got.indexes_accessed, want.indexes_accessed, "{at}");
+                }
+                assert_eq!(batch.len(), values.len());
+
+                let want = per_pair_counters(&clean, &mut clean_vol, values, range);
+                let elided = elisions.get();
+                let before = pair_counters(&obs);
+                let q = server.query_batch(values, range).unwrap();
+                let after = pair_counters(&obs);
+                let moved: [u64; 6] = std::array::from_fn(|i| after[i] - before[i]);
+                assert_eq!(moved, want, "server counters {at}");
+                if elides_arm2 {
+                    assert_eq!(elisions.get(), elided + 1, "arm 2 elided {at}");
+                }
+                assert_eq!(q.partial, None);
+                for (vi, value) in values.iter().enumerate() {
+                    let probe = server.probe(value, range).unwrap();
+                    assert_eq!(q.per_value[vi], probe.entries, "server value {vi} {at}");
+                    assert_eq!(q.per_value[vi], solo[vi].entries, "server value {vi} {at}");
+                    assert_eq!(q.indexes_accessed, probe.indexes_accessed, "{at}");
+                    assert_eq!(q.indexes_accessed, solo[vi].indexes_accessed, "{at}");
+                }
+            }
+        }
+
+        // A maintain hand-over: slot 0 moves to arm 3 and arm 0 becomes
+        // the maintenance arm, still serving slot 3. Until its Drop,
+        // the displaced arm holds an older generation of slot 0; plant
+        // one (with other entries) to stand for it. The route snapshot
+        // must keep every one of its answers out.
+        server.maintain(0, logical[0].clone()).unwrap();
+        assert_eq!(
+            (server.arm_of(0), server.maintenance_arm()),
+            (Some(3), Some(0))
+        );
+        let stale = vec![day_batch(2, 9, "k"), day_batch(3, 5, "m")];
+        server
+            .arm(0)
+            .unwrap()
+            .lock_core()
+            .build(0, "stale".into(), stale)
+            .unwrap();
+        for values in [&wide, &narrow] {
+            for range in ranges {
+                let at = format!("after maintain {values:?} {range:?}");
+                let q = server.query_batch(values, range).unwrap();
+                for (vi, value) in values.iter().enumerate() {
+                    let solo = wave.timed_index_probe(&mut vol, value, range).unwrap();
+                    assert_eq!(q.per_value[vi], solo.entries, "value {vi} {at}");
+                    assert_eq!(q.indexes_accessed, solo.indexes_accessed, "{at}");
+                }
+            }
+        }
+        server.shutdown().unwrap();
+        for (wave, mut vol) in [(wave, vol), (twin, twin_vol), (clean, clean_vol)] {
+            wave_cleanup(wave, &mut vol);
+        }
     }
 
     #[test]

@@ -155,26 +155,20 @@ impl WaveIndex {
         ctx: TraceCtx,
         retry: Retry<'_>,
     ) -> IndexResult<Vec<QueryResult>> {
-        let mut results: Vec<QueryResult> = values
-            .iter()
-            .map(|_| QueryResult {
-                entries: Vec::new(),
-                indexes_accessed: 0,
-            })
-            .collect();
-        // Appending per value in slot order reproduces the per-probe
-        // entry order; every value touches the same constituents.
         let selected = read::select(self.iter(), range);
-        let emit = |_, vi: usize, entries| {
-            if let Some(result) = results.get_mut(vi) {
-                read::append(&mut result.entries, entries);
-            }
-        };
-        let accessed = read::read_batch(selected, vol, values, range, ctx, retry, emit)?;
-        for result in &mut results {
-            result.indexes_accessed = accessed;
-        }
-        Ok(results)
+        let batch = read::read_batch(selected, vol, values, range, ctx, retry)?;
+        // The batch's answers come in slot order, so the fold
+        // reproduces the per-probe entry order; every value touches
+        // the same constituents.
+        let answers = batch.answers().map(|(_, vi, entries)| (vi, entries));
+        let accessed = batch.slots().len();
+        Ok(read::fold(&read::firsts(values), answers)
+            .into_iter()
+            .map(|entries| QueryResult {
+                entries,
+                indexes_accessed: accessed,
+            })
+            .collect())
     }
 
     /// `TimedSegmentScan(Θ, T1, T2)`.

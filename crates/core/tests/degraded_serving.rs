@@ -10,9 +10,17 @@
 //! concurrently without interfering. After the arm's fault clears, the
 //! breaker's half-open probe re-admits it and answers become whole
 //! again; the recovered wave vouches for the same entries throughout.
+//!
+//! The main thread is paced by the readers' progress, not by the OS
+//! scheduler: it injects the fault only after the readers have
+//! completed answers, clears it only after a reader has seen a
+//! degraded answer, and stops the readers only after they have
+//! completed more answers past the heal.
 
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
+use std::thread::JoinHandle;
+use std::time::{Duration, Instant};
 
 use wave_index::recovery::recover;
 use wave_index::{
@@ -54,6 +62,24 @@ fn scratch_store() -> (FileStore, std::path::PathBuf) {
     }
     std::fs::create_dir_all(&dir).unwrap();
     (FileStore::open(&dir).unwrap(), dir)
+}
+
+/// Answers the readers must complete before each phase change.
+const PACE: u64 = 8;
+
+/// Waits until `done` holds, failing loudly if a reader stopped (it
+/// panicked: readers run until told to stop) or if a generous
+/// deadline passes: a wait that never ends is a hung server.
+fn wait_until(what: &str, readers: &[JoinHandle<u64>], done: impl Fn() -> bool) {
+    let deadline = Instant::now() + Duration::from_secs(120);
+    while !done() {
+        assert!(
+            readers.iter().all(|r| !r.is_finished()),
+            "a reader stopped while waiting until {what}"
+        );
+        assert!(Instant::now() < deadline, "timed out waiting until {what}");
+        std::thread::sleep(Duration::from_millis(1));
+    }
 }
 
 /// The subset of `want` that survives when `missing_slots` are gone.
@@ -101,11 +127,13 @@ fn recovery_races_degraded_serving_and_heals() {
     // Readers: every answer must be whole or an honest partial.
     let stop = Arc::new(AtomicBool::new(false));
     let saw_degraded = Arc::new(AtomicBool::new(false));
+    let completed = Arc::new(AtomicU64::new(0));
     let readers: Vec<_> = (0..3)
         .map(|r| {
             let server = Arc::clone(&server);
             let stop = Arc::clone(&stop);
             let saw_degraded = Arc::clone(&saw_degraded);
+            let completed = Arc::clone(&completed);
             let want = want.clone();
             std::thread::spawn(move || {
                 let value = SearchValue::from("k");
@@ -115,7 +143,7 @@ fn recovery_races_degraded_serving_and_heals() {
                     match &q.partial {
                         None => assert_eq!(q.entries, want, "reader {r}: whole answer diverged"),
                         Some(p) => {
-                            saw_degraded.store(true, Ordering::Relaxed);
+                            saw_degraded.store(true, Ordering::SeqCst);
                             assert_eq!(
                                 q.entries,
                                 covered(&want, &p.missing_slots),
@@ -124,6 +152,7 @@ fn recovery_races_degraded_serving_and_heals() {
                         }
                     }
                     answers += 1;
+                    completed.fetch_add(1, Ordering::SeqCst);
                 }
                 answers
             })
@@ -134,6 +163,10 @@ fn recovery_races_degraded_serving_and_heals() {
     // then run recovery on the committed image while readers serve
     // degraded. recover() touches only its own volume and store; the
     // race proves the two paths share nothing.
+    let answers_done = || completed.load(Ordering::SeqCst);
+    wait_until("readers answered before the fault", &readers, || {
+        answers_done() >= PACE
+    });
     server.inject_transient_reads(0, 0, u64::MAX / 2).unwrap();
     let (loaded, report) = recover(IndexConfig::default(), &mut vol, &mut store, None).unwrap();
     let loaded = loaded.expect("committed image survives recovery");
@@ -157,6 +190,9 @@ fn recovery_races_degraded_serving_and_heals() {
         std::thread::yield_now();
     }
     assert!(observed, "persistent arm failure must surface as partial");
+    wait_until("a reader saw a degraded answer", &readers, || {
+        saw_degraded.load(Ordering::SeqCst)
+    });
 
     // Heal: clear the fault, then keep probing until the breaker's
     // half-open probe re-admits the arm and answers are whole again.
@@ -171,6 +207,10 @@ fn recovery_races_degraded_serving_and_heals() {
         }
     }
     assert!(healed, "arm must be re-admitted after its fault clears");
+    let healed_at = answers_done();
+    wait_until("readers answered after the heal", &readers, || {
+        answers_done() >= healed_at + PACE
+    });
 
     stop.store(true, Ordering::Relaxed);
     let mut total = 0;
