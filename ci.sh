@@ -138,10 +138,10 @@ cargo test -q -p wave-index --test crash_recovery --offline \
   dirty_buffer_crash_points_recover_to_pre_or_post_state
 
 # The fault-tolerance gate (DESIGN.md §13): recovery racing a degraded
-# server must heal; the soak — killed workers, transient-read bursts,
-# quarantines, racing maintenance, every completed answer checked
-# against the single-threaded oracle, leak-free shutdown — is the
-# `chaos` suite below.
+# server must heal; the soak — bursts that fail maintenance builds,
+# transient-read bursts, quarantines, racing maintenance, every
+# completed answer checked against the single-threaded oracle,
+# leak-free shutdown — is the `chaos` suite below.
 echo "==> degraded serving under recovery"
 cargo test -q -p wave-index --test degraded_serving --offline
 # Its harness is paced by reader progress, so it must pass every time:
@@ -161,11 +161,29 @@ for run in $(seq 1 50); do
     exit 1
   }
 done
-# The server's own unit tests — worker kill and restart, the breaker
-# state machine, retry and quarantine, settle balance — named so a
-# filter can never skip them.
+# The server's own unit tests — failed builds that change no route,
+# the breaker state machine, retry and quarantine, settle balance —
+# named so a filter can never skip them.
 echo "==> server unit tests"
 cargo test -q -p wave-index --lib --offline server::tests
+# The wave-bench lib tests hold the chaos soak, whose injector is
+# paced by reader progress, so they too must pass every time: a
+# failure in 20 back-to-back runs is a bug, not bad luck.
+echo "==> wave-bench lib tests, 20 repeats"
+bench_lib=$(cargo test -q -p wave-bench --lib --offline \
+  --no-run --message-format=json 2>/dev/null \
+  | sed -n 's/.*"executable":"\([^"]*wave_bench-[^"]*\)".*/\1/p' | tail -n 1)
+if [ -z "$bench_lib" ]; then
+  echo "wave-bench: lib test binary not found" >&2
+  exit 1
+fi
+for run in $(seq 1 20); do
+  "$bench_lib" -q > target/wave_bench_lib.out 2>&1 || {
+    cat target/wave_bench_lib.out >&2
+    echo "wave-bench lib tests failed on repeat $run of 20" >&2
+    exit 1
+  }
+done
 
 # Every evaluation suite at its CI-sized preset. Each states a bound
 # and a violated one fails the run after printing its table, so a red

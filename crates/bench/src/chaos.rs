@@ -8,9 +8,10 @@
 //! * a **maintenance** thread committing epoch after epoch, rebuilding
 //!   slots back and forth between two content generations (`A` built
 //!   at install, `B` from an independently seeded workload),
-//! * a **chaos** thread driving a seeded schedule of worker kills,
-//!   transient read bursts, persistent fault windows, and arm
-//!   quarantines through the server's fault-injection hooks.
+//! * a **chaos** thread driving a seeded schedule of bursts on the
+//!   maintenance arm (which fail the build they land in), transient
+//!   read bursts, persistent fault windows, and arm quarantines
+//!   through the server's fault-injection hooks.
 //!
 //! The invariant checked on *every* completed answer: decomposed by
 //! slot (an entry's day identifies its slot), each covered slot is
@@ -25,13 +26,18 @@
 //! The event *schedule* is seeded and deterministic; thread
 //! interleaving is not, so the invariants are written to hold under
 //! every interleaving (the counts in the report are descriptive, not
-//! golden). `wavectl bench chaos [--smoke]` drives this and prints the
+//! golden). The chaos thread is paced by reader progress, not by the
+//! OS scheduler: with `m` = reader requests / (events + 1), event `k`
+//! fires only once the readers have completed `k * m` requests in
+//! total, so faults overlap reads while clean stretches of at least
+//! `m` requests come before and between them under any host load.
+//! `wavectl bench chaos [--smoke]` drives this and prints the
 //! per-scheme report.
 //!
 //! The soak runs the server with its default [`IndexConfig`], so the
 //! probe-pruning layer (DESIGN.md §14) is live: membership filters
-//! may elide whole arms from a query's fan-out while workers are
-//! being killed and arms quarantined around them. The oracle check
+//! may elide whole arms from a query's fan-out while builds fail and
+//! arms are quarantined around them. The oracle check
 //! makes no allowance for this — an elided arm must be
 //! indistinguishable from a probed-and-empty one — so the soak also
 //! serves as the adversarial test that filter skips stay proofs of
@@ -40,19 +46,17 @@
 //! Reading the report: `ok`/`partial`/`errors` partition the reader
 //! requests (`partial` only ever names quarantined slots), the
 //! `maintains_ok/maintains_err` pair shows maintenance surviving the
-//! same chaos, and `kills`/`bursts`/`quarantines` echo the injected
-//! schedule while `worker_restarts`/`breaker_trips`/`read_retries`
-//! count the server's measured responses to it. Reads never use a
-//! worker, so a kill is felt only when maintenance next reaches the
-//! arm: `worker_restarts` counts the workers a later build, drop or
-//! status re-raised (shutdown, after the report, re-raises the rest,
-//! and killing a worker that is already dead is a no-op), so it may
-//! read below `kills`. A healthy soak shows retries absorbing the
-//! short bursts.
+//! same chaos, and `bursts`/`quarantines` echo the injected schedule
+//! while `breaker_trips`/`read_retries` count the server's measured
+//! responses to it. A burst on the maintenance arm is felt when the
+//! next build reaches a device operation, so it shows up as a
+//! `maintains_err`; a reader that meets it on a shared arm retries it
+//! away. A healthy soak shows retries absorbing the short bursts.
 
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
+use std::time::Duration;
 
 use wave_index::prelude::*;
 use wave_index::schemes::SchemeKind;
@@ -150,17 +154,14 @@ pub struct ChaosReport {
     pub errors: u64,
     /// Maintenance epochs committed / rejected with a typed error.
     pub maintains_ok: u64,
-    /// Maintenance attempts that failed (worker killed mid-build,
-    /// fault window on the build arm).
+    /// Maintenance attempts that failed (a burst or a fault window on
+    /// the build arm failed the build).
     pub maintains_err: u64,
-    /// Chaos events injected: worker kills.
-    pub kills: u64,
-    /// Chaos events injected: transient read bursts.
+    /// Chaos events injected: transient bursts, on the maintenance arm
+    /// or on a random arm.
     pub bursts: u64,
     /// Chaos events injected: arm quarantines.
     pub quarantines: u64,
-    /// Workers restarted by supervision.
-    pub worker_restarts: u64,
     /// Circuit-breaker trips.
     pub breaker_trips: u64,
     /// Transient read errors absorbed by retry.
@@ -496,27 +497,44 @@ fn run_scheme(kind: SchemeKind, soak: &ChaosSoak) -> ChaosReport {
         })
     };
 
-    // Chaos: a seeded schedule of kills, bursts, and quarantines.
+    // Chaos: a seeded schedule of bursts and quarantines, paced by
+    // reader progress (module docs).
     let chaos = {
         let server = Arc::clone(&server);
         let stop = Arc::clone(&stop);
-        let events = soak.chaos_events;
+        let (ok, partial, errors) = (Arc::clone(&ok), Arc::clone(&partial), Arc::clone(&errors));
+        let events = soak.chaos_events as u64;
+        let per_event = ((soak.readers * soak.queries_per_reader) as u64 / (events + 1)).max(1);
         let arms = soak.arms;
         let seed = soak.seed ^ (kind as u64) << 8;
         std::thread::spawn(move || {
+            let completed = || {
+                ok.load(Ordering::Relaxed)
+                    + partial.load(Ordering::Relaxed)
+                    + errors.load(Ordering::Relaxed)
+            };
             let mut rng = SplitMix64::new(seed ^ 0xBADCAB);
-            let mut kills = 0u64;
             let mut bursts = 0u64;
             let mut quarantines = 0u64;
-            for _ in 0..events {
-                if stop.load(Ordering::Relaxed) {
-                    break;
+            'events: for k in 1..=events {
+                while completed() < k * per_event {
+                    if stop.load(Ordering::Relaxed) {
+                        break 'events;
+                    }
+                    std::thread::sleep(Duration::from_micros(200));
                 }
                 let arm = rng.range_u64(0, arms as u64 - 1) as usize;
                 match rng.range_u64(0, 4) {
                     0 => {
-                        let _ = server.kill_worker(arm);
-                        kills += 1;
+                        // Lands in the next build on the maintenance
+                        // arm (builds do not retry), and is short
+                        // enough for a reader to retry away.
+                        if let Some(maint) = server.maintenance_arm() {
+                            let after = rng.range_u64(0, 2);
+                            let count = rng.range_u64(1, 3);
+                            let _ = server.inject_transient_reads(maint, after, count);
+                            bursts += 1;
+                        }
                     }
                     1 => {
                         // A blip shorter than the retry budget.
@@ -538,11 +556,8 @@ fn run_scheme(kind: SchemeKind, soak: &ChaosSoak) -> ChaosReport {
                         let _ = server.clear_arm_faults(arm);
                     }
                 }
-                for _ in 0..rng.range_u64(1, 8) {
-                    std::thread::yield_now();
-                }
             }
-            (kills, bursts, quarantines)
+            (bursts, quarantines)
         })
     };
 
@@ -551,7 +566,7 @@ fn run_scheme(kind: SchemeKind, soak: &ChaosSoak) -> ChaosReport {
     }
     let (maintains_ok, maintains_err) = maintenance.join().expect("maintenance panicked");
     stop.store(true, Ordering::Relaxed);
-    let (kills, bursts, quarantines) = chaos.join().expect("chaos thread panicked");
+    let (bursts, quarantines) = chaos.join().expect("chaos thread panicked");
 
     // Heal: clear every fault, then whole answers must return within
     // a bounded number of probes (breaker cooldowns count down per
@@ -620,15 +635,13 @@ fn run_scheme(kind: SchemeKind, soak: &ChaosSoak) -> ChaosReport {
         errors: errors.load(Ordering::Relaxed),
         maintains_ok,
         maintains_err,
-        kills,
         bursts,
         quarantines,
-        worker_restarts: obs.counter("server.worker_restarts").get(),
         breaker_trips: obs.counter("server.breaker_trips").get(),
         read_retries: obs.counter("server.read_retries").get(),
     };
     // Shutdown last: its internal leak check is the storage-safety
-    // gate (restarted and killed workers must not strand blocks).
+    // gate (failed builds must not strand blocks).
     Arc::try_unwrap(server)
         .unwrap_or_else(|_| panic!("all soak threads joined"))
         .shutdown()
@@ -668,10 +681,8 @@ pub fn report(smoke: bool) -> Report {
             .u64(Table, "errors", r.errors)
             .u64(Table, "maintains_ok", r.maintains_ok)
             .u64(Table, "maintains_err", r.maintains_err)
-            .u64(Table, "kills", r.kills)
             .u64(Table, "bursts", r.bursts)
             .u64(Table, "quarantines", r.quarantines)
-            .u64(Table, "worker_restarts", r.worker_restarts)
             .u64(Table, "breaker_trips", r.breaker_trips)
             .u64(Table, "read_retries", r.read_retries)
     };
@@ -706,7 +717,7 @@ mod tests {
             assert!(r.ok > 0, "{}: some answers must be whole", r.scheme);
             // The schedule actually injected chaos.
             assert!(
-                r.kills + r.bursts + r.quarantines + r.maintains_ok + r.maintains_err > 0,
+                r.bursts + r.quarantines + r.maintains_ok + r.maintains_err > 0,
                 "{}: chaos and maintenance ran",
                 r.scheme
             );

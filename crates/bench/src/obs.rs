@@ -14,8 +14,8 @@
 //!
 //! Both runs must produce bit-identical simulated-time reports —
 //! observability is not allowed to perturb the engine — and the
-//! traced run's **wall-clock** median may exceed the baseline's by at
-//! most [`ObsSweep::max_overhead`]. `wavectl bench obs` drives this
+//! median traced/baseline **wall-clock** ratio over the repetitions
+//! may exceed 1 by at most [`ObsSweep::max_overhead`]. `wavectl bench obs` drives this
 //! and writes `BENCH_obs.json` (fields in EXPERIMENTS.md).
 
 use std::sync::Arc;
@@ -44,7 +44,8 @@ pub struct ObsSweep {
     pub words_per_article: usize,
     /// Vocabulary size behind the Zipfian text model.
     pub vocab: usize,
-    /// Timed repetitions per mode; the median is reported.
+    /// Timed baseline/traced pairs; the pair with the median ratio is
+    /// reported.
     pub repetitions: usize,
     /// Workload + trace seed (the whole sweep is deterministic).
     pub seed: u64,
@@ -82,20 +83,20 @@ impl ObsSweep {
             articles_per_day: 60,
             words_per_article: 6,
             vocab: 120,
-            repetitions: 3,
+            repetitions: 5,
             seed: 0x0B5E_BE2C,
             max_overhead: 0.50,
         }
     }
 }
 
-/// The sweep's outcome: median wall-clock per mode plus evidence that
-/// the traced run really traced.
+/// The sweep's outcome: the wall clock of the median pair plus
+/// evidence that the traced run really traced.
 #[derive(Debug, Clone)]
 pub struct ObsResult {
-    /// Median wall-clock microseconds per repetition, tracing off.
+    /// Wall-clock microseconds of the median pair's run, tracing off.
     pub baseline_us: u64,
-    /// Median wall-clock microseconds per repetition, tracing +
+    /// Wall-clock microseconds of the median pair's run, tracing +
     /// flight recorder on.
     pub traced_us: u64,
     /// Simulated seconds of engine work per repetition (identical in
@@ -157,18 +158,15 @@ fn replay(obs: &Obs, sweep: &ObsSweep) -> f64 {
     sim
 }
 
-fn median_us(mut samples: Vec<u64>) -> u64 {
-    samples.sort_unstable();
-    samples[samples.len() / 2]
-}
-
-/// Runs the sweep: `repetitions` interleaved baseline/traced pairs
-/// (interleaving cancels thermal and scheduler drift), medians per
-/// mode. Panics if the two modes disagree on simulated time — the
+/// Runs the sweep: `repetitions` baseline/traced pairs, each run back
+/// to back, and reports the pair whose traced/baseline ratio is the
+/// median. A stall that lands on one run (a sibling test or process
+/// taking the core) moves only its own pair's ratio, where per-mode
+/// medians would pair a slow run of one mode with a fast run of the
+/// other. Panics if the two modes disagree on simulated time — the
 /// observability layer must never change what the engine does.
 pub fn run_sweep(sweep: &ObsSweep) -> ObsResult {
-    let mut baseline_samples = Vec::with_capacity(sweep.repetitions);
-    let mut traced_samples = Vec::with_capacity(sweep.repetitions);
+    let mut pairs: Vec<(u64, u64)> = Vec::with_capacity(sweep.repetitions);
     let mut sim_seconds = 0.0;
     let mut completed = 0u64;
     let mut promoted = 0u64;
@@ -176,13 +174,13 @@ pub fn run_sweep(sweep: &ObsSweep) -> ObsResult {
     for rep in 0..sweep.repetitions {
         let t = Instant::now();
         let base_sim = replay(&Obs::noop(), sweep);
-        baseline_samples.push(t.elapsed().as_micros() as u64);
+        let baseline_us = t.elapsed().as_micros() as u64;
 
         let recorder = Arc::new(FlightRecorder::new(FlightConfig::default()));
         let obs = Obs::with_seed(recorder.clone(), sweep.seed);
         let t = Instant::now();
         let traced_sim = replay(&obs, sweep);
-        traced_samples.push(t.elapsed().as_micros() as u64);
+        pairs.push((baseline_us, t.elapsed().as_micros() as u64));
 
         assert_eq!(
             base_sim.to_bits(),
@@ -195,9 +193,12 @@ pub fn run_sweep(sweep: &ObsSweep) -> ObsResult {
         promoted = stats.promoted;
         evicted = stats.evicted;
     }
+    let ratio = |&(base, traced): &(u64, u64)| traced as f64 / base.max(1) as f64;
+    pairs.sort_by(|a, b| ratio(a).total_cmp(&ratio(b)));
+    let (baseline_us, traced_us) = pairs[pairs.len() / 2];
     ObsResult {
-        baseline_us: median_us(baseline_samples),
-        traced_us: median_us(traced_samples),
+        baseline_us,
+        traced_us,
         sim_seconds,
         traces_completed: completed,
         traces_promoted: promoted,

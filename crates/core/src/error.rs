@@ -54,17 +54,18 @@ pub enum IndexError {
     /// mid-update. Serving paths surface this instead of panicking in
     /// turn; the named component tells the operator what to restart.
     LockPoisoned(&'static str),
-    /// A worker thread backing the named component is gone (failed to
-    /// spawn, or its channel disconnected mid-request). Carries which
-    /// disk arm the worker served and the server epoch last observed
-    /// when it was lost, so failure reports can attribute losses to a
-    /// specific arm and maintenance generation.
+    /// A server build thread was lost: the OS refused to spawn it, or
+    /// it panicked mid-build. Carries the disk arm it built on and the
+    /// server epoch observed when the loss was detected, so failure
+    /// reports can attribute losses to a specific arm and maintenance
+    /// generation. The install or maintain call that lost it changes
+    /// no route.
     WorkerLost {
-        /// What the lost worker was doing when it disappeared.
+        /// How the build thread was lost.
         what: &'static str,
-        /// Disk arm the worker served.
+        /// Disk arm the thread built on.
         arm: usize,
-        /// Server epoch last observed when the loss was detected.
+        /// Server epoch observed when the loss was detected.
         epoch: u64,
     },
     /// Internal invariant violation; indicates a bug, never expected.
@@ -75,7 +76,7 @@ impl IndexError {
     /// Whether this error is in the transient class (a retry may
     /// succeed): a propagated storage error the storage layer itself
     /// classes as transient. Everything else — corruption, config
-    /// errors, lost workers — is hard and surfaces immediately.
+    /// errors, lost build threads — is hard and surfaces immediately.
     pub fn is_transient(&self) -> bool {
         matches!(self, IndexError::Storage(e) if e.is_transient())
     }
@@ -154,11 +155,11 @@ mod tests {
         assert!(e.to_string().contains("route table"));
         assert!(e.to_string().contains("poisoned"));
         let e = IndexError::WorkerLost {
-            what: "arm worker disconnected mid-query",
+            what: "arm build thread panicked",
             arm: 2,
             epoch: 7,
         };
-        assert!(e.to_string().contains("mid-query"));
+        assert!(e.to_string().contains("panicked"));
         assert!(e.to_string().contains("arm 2"));
         assert!(e.to_string().contains("epoch 7"));
     }

@@ -640,7 +640,7 @@ impl ConstituentIndex {
     /// Resolves a probe as far as it can go without bucket I/O:
     /// membership filter, then covering set, then directory. This is
     /// the single pruning decision of the read path (`read.rs`), so a
-    /// solo probe, a batch and the server's arm workers skip and cover
+    /// solo probe, a batch and the server's arms skip and cover
     /// identically. Increments the `filter.*` counters.
     pub fn prune_probe(&self, vol: &Volume, value: &SearchValue) -> ProbeOutcome<'_> {
         if let Some(filter) = &self.filter {

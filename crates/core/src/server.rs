@@ -26,10 +26,13 @@
 //! share. Concurrent readers on different arms still run in parallel;
 //! no read crosses a thread or waits on a channel.
 //!
-//! **Workers serve maintenance.** The server keeps **one worker
-//! thread per arm** for the requests that change or report an arm —
-//! builds, drops, status and shutdown — so a build runs on its arm's
-//! worker, off every reader's thread.
+//! **Builds run on scoped threads.** The server keeps no thread of
+//! its own. A build ([`WaveServer::install_wave`],
+//! [`WaveServer::maintain`]) runs on one scoped thread per arm that
+//! has builds, under that arm's core lock and off the caller's thread,
+//! and every thread is joined before any route changes. Status, the
+//! drop of a displaced generation and shutdown run inline under each
+//! arm's core lock.
 //!
 //! # Maintenance
 //!
@@ -50,16 +53,11 @@
 //!
 //! # Fault tolerance
 //!
-//! Serving survives three fault classes, each with a bounded, typed
-//! recovery path (tuned by [`FaultConfig`]):
+//! Serving survives two fault classes, each with a bounded, typed
+//! recovery path (tuned by [`FaultConfig`]); a failed or panicking
+//! build fails its install or maintain call with a typed error and
+//! changes no route:
 //!
-//! * **Worker death** — reads need no worker, so a dead worker never
-//!   fails or delays a query. Every maintenance request is supervised:
-//!   a worker whose channel closed is restarted against the *same*
-//!   shared arm state (volume + constituents, behind an
-//!   `Arc<Mutex<_>>`), and requests that died unprocessed are
-//!   re-issued. Restarts mint root-spanned traces and bump
-//!   `server.worker_restarts`.
 //! * **Transient read errors** — each arm's probe/scan/batch reads are
 //!   retried under a bounded [`RetryPolicy`], counting
 //!   `server.read_retries`; blips shorter than the retry budget are
@@ -71,16 +69,14 @@
 //!   covered slots, never silently wrong. After a cooldown, one
 //!   half-open probe decides re-admission.
 //!
-//! The deterministic chaos harness (`wavectl bench chaos`) races all
-//! three fault classes against concurrent queries and maintenance
-//! epochs and checks every completed answer against a single-threaded
-//! oracle.
+//! The deterministic chaos harness (`wavectl bench chaos`) races both
+//! fault classes, and bursts that fail maintenance builds, against
+//! concurrent queries and maintenance epochs and checks every
+//! completed answer against a single-threaded oracle.
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
-use std::sync::mpsc::{channel, Receiver, SendError, Sender};
-use std::sync::{Arc, Mutex, MutexGuard, PoisonError, RwLock, RwLockReadGuard, RwLockWriteGuard};
-use std::thread::JoinHandle;
+use std::sync::{Mutex, MutexGuard, PoisonError, RwLock, RwLockReadGuard, RwLockWriteGuard};
 
 use wave_obs::{fields, Counter, Gauge, Obs, TraceCtx};
 use wave_storage::{DiskArray, RetryPolicy, StatsDelta, Volume};
@@ -105,11 +101,12 @@ pub struct ServerConfig {
     /// [`WaveServer::maintain`]); query slots then spread over the
     /// remaining arms. Needs an array of at least two arms.
     pub reserve_maintenance_arm: bool,
-    /// Fault-tolerance tuning (supervision, retry, circuit breaking).
+    /// Fault-tolerance tuning (retry, circuit breaking).
     pub fault: FaultConfig,
 }
 
-/// Fault-tolerance tuning for a [`WaveServer`].
+/// Fault-tolerance tuning for a [`WaveServer`]'s read path: retry
+/// and circuit breaking.
 #[derive(Debug, Clone, Copy)]
 pub struct FaultConfig {
     /// Retry policy applied to transient read errors on each arm's
@@ -117,12 +114,6 @@ pub struct FaultConfig {
     /// (backoff would only slow the simulation down); production-shaped
     /// deployments can swap in a jittered policy.
     pub retry: RetryPolicy,
-    /// Worker restarts a single maintenance request (build, drop,
-    /// status, shutdown) tolerates, at dispatch or after losing its
-    /// reply, before reporting [`IndexError::WorkerLost`]. Reads run
-    /// on the caller's thread under the arm's lock and never wait on a
-    /// worker, so no restart is ever needed to answer one.
-    pub restart_attempts: u32,
     /// Consecutive failed queries on an arm that trip its breaker.
     pub trip_after: u32,
     /// Queries a tripped arm sits out before one half-open probe is
@@ -139,7 +130,6 @@ impl Default for FaultConfig {
     fn default() -> Self {
         FaultConfig {
             retry: RetryPolicy::no_backoff(4),
-            restart_attempts: 2,
             trip_after: 3,
             cooldown: 4,
             degraded_reads: true,
@@ -427,50 +417,26 @@ impl Answers {
     }
 }
 
-/// What an arm sends back for a build request: besides the I/O
-/// accounting, the built constituent's day span and a copy of its
-/// membership filter, which the server installs as the slot's routing
-/// metadata ([`SlotMeta`]) for fan-out pruning.
+/// What an arm's build returns: besides the I/O accounting, the
+/// built constituent's day span and a copy of its membership filter,
+/// which the server installs as the slot's routing metadata
+/// ([`SlotMeta`]) for fan-out pruning.
 struct BuildDone {
     arm: usize,
+    slot: usize,
     io: StatsDelta,
     span: Option<(Day, Day)>,
     filter: Option<MembershipFilter>,
 }
 
-/// The maintenance requests an arm's worker serves. Reads are not
-/// among them: they run on the caller's thread under the arm's lock.
-enum ArmRequest {
-    Build {
-        slot: usize,
-        label: String,
-        batches: Vec<DayBatch>,
-        ctx: TraceCtx,
-        reply: Sender<IndexResult<BuildDone>>,
-    },
-    Drop {
-        slot: usize,
-        reply: Sender<IndexResult<()>>,
-    },
-    Status {
-        reply: Sender<ArmStatus>,
-    },
-    /// Chaos hook: the worker thread exits immediately without a
-    /// reply, dropping any requests still queued behind this one —
-    /// their reply senders drop, which is what supervising callers
-    /// detect and recover from.
-    Kill,
-    Shutdown {
-        reply: Sender<IndexResult<u64>>,
-    },
-}
+/// The builds queued for one arm: `(submission index, slot, day
+/// batches)`, in submission order.
+type ArmBuilds = Vec<(usize, usize, Vec<DayBatch>)>;
 
-/// Arm state: one arm and its constituents. Shared between the
-/// server and whichever worker thread currently serves the arm (via
-/// `Arc<Mutex<_>>`), so a replacement thread after a worker death
-/// reattaches to the same volume and indexes — supervision loses no
-/// state. Readers hold the mutex for one arm's answer, the worker for
-/// one maintenance request, and the chaos/fault hooks for one call.
+/// Arm state: one arm and its constituents, behind the arm's core
+/// mutex. Readers hold it for one arm's answer, a build thread for
+/// its arm's builds, and status, drop, shutdown and the chaos/fault
+/// hooks for one call.
 struct ArmState {
     arm: usize,
     cfg: IndexConfig,
@@ -544,6 +510,9 @@ impl ArmState {
         })
     }
 
+    /// Builds `slot`'s constituent under `label` and places it on the
+    /// arm. Rebuilding a slot in place on the same arm releases the old
+    /// generation once the new one is installed.
     fn build(
         &mut self,
         slot: usize,
@@ -556,67 +525,34 @@ impl ArmState {
         let span = idx.day_span();
         let filter = idx.membership_filter().cloned();
         if let Some(old) = self.slots.insert(slot, idx) {
-            // Rebuilding a slot in place on the same arm: the old
-            // generation is released once the new one is installed.
             old.release(&mut self.vol)?;
         }
         Ok(BuildDone {
             arm: self.arm,
+            slot,
             io: self.vol.stats().since(&before),
             span,
             filter,
         })
     }
 
-    /// Processes one request; `false` means the worker loop must exit
-    /// (kill or shutdown). A request's effects are applied atomically
-    /// with respect to the state lock, and its reply is sent before
-    /// `handle` returns — so a lost reply always means an
-    /// *unprocessed* request, which supervising callers may therefore
-    /// safely re-issue.
-    fn handle(&mut self, req: ArmRequest) -> bool {
-        match req {
-            ArmRequest::Build {
-                slot,
-                label,
-                batches,
-                ctx,
-                reply,
-            } => {
-                let result = self.traced(ctx, "arm.build", |s, _| s.build(slot, label, batches));
-                let _ = reply.send(result);
-                true
-            }
-            ArmRequest::Drop { slot, reply } => {
-                let result = match self.slots.remove(&slot) {
-                    Some(idx) => idx.release(&mut self.vol),
-                    None => Ok(()),
-                };
-                let _ = reply.send(result);
-                true
-            }
-            ArmRequest::Status { reply } => {
-                let _ = reply.send(ArmStatus {
-                    arm: self.arm,
-                    slots: self.slots.keys().copied().collect(),
-                    entries: self.slots.values().map(ConstituentIndex::entry_count).sum(),
-                    live_blocks: self.vol.live_blocks(),
-                    busy_seconds: self.vol.stats().sim_seconds,
-                });
-                true
-            }
-            ArmRequest::Kill => false,
-            ArmRequest::Shutdown { reply } => {
-                let mut result = Ok(());
-                for (_, idx) in std::mem::take(&mut self.slots) {
-                    if let Err(e) = idx.release(&mut self.vol) {
-                        result = Err(e);
-                    }
-                }
-                let _ = reply.send(result.map(|()| self.vol.live_blocks()));
-                false
+    /// Releases `slot`'s constituent, if the arm holds one.
+    fn drop_slot(&mut self, slot: usize) -> IndexResult<()> {
+        match self.slots.remove(&slot) {
+            Some(idx) => idx.release(&mut self.vol),
+            None => Ok(()),
+        }
+    }
+
+    /// Releases every constituent; returns the blocks still live.
+    fn drain(&mut self) -> IndexResult<u64> {
+        let mut result = Ok(());
+        for (_, idx) in std::mem::take(&mut self.slots) {
+            if let Err(e) = idx.release(&mut self.vol) {
+                result = Err(e);
             }
         }
+        result.map(|()| self.vol.live_blocks())
     }
 }
 
@@ -634,62 +570,11 @@ fn one_by_one<'a>(
         .collect()
 }
 
-/// A re-issuable build request factory: supervision may need to send
-/// the same build more than once (the first copy can die queued
-/// behind a killed worker), so each issue clones the day batches.
-fn build_request(
-    slot: usize,
-    epoch: u64,
-    batches: &[DayBatch],
-    ctx: TraceCtx,
-) -> impl Fn(Sender<IndexResult<BuildDone>>) -> ArmRequest + '_ {
-    move |reply| ArmRequest::Build {
-        slot,
-        label: format!("slot{slot}.e{epoch}"),
-        batches: batches.to_vec(),
-        ctx,
-        reply,
-    }
-}
-
-/// The arm worker loop: drains requests against the shared
-/// [`ArmState`]. The state lives behind an `Arc<Mutex<_>>` owned
-/// jointly with the server so a replacement thread (after a kill)
-/// reattaches to the same volume and constituents. A poisoned state
-/// lock is recovered: each request's effects are applied atomically
-/// under the lock, so the state a panicking predecessor left behind
-/// is whole at request granularity.
-fn worker_loop(core: &Mutex<ArmState>, rx: Receiver<ArmRequest>) {
-    while let Ok(req) = rx.recv() {
-        let keep_going = core
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .handle(req);
-        if !keep_going {
-            return;
-        }
-    }
-}
-
-/// The currently-running worker thread of an arm: its request channel
-/// and join handle, plus a generation counter bumped on every restart
-/// so racing supervisors can tell a disconnect they both observed
-/// from one already healed by someone else.
-struct WorkerLink {
-    generation: u64,
-    tx: Sender<ArmRequest>,
-    handle: Option<JoinHandle<()>>,
-}
-
-/// Per-arm handles the server side keeps: the shared worker state,
-/// the supervised worker slot, the arm's circuit breaker, and its
-/// observability instruments.
+/// Per-arm handles the server side keeps: the arm's state behind its
+/// core lock, its circuit breaker, and its observability instruments.
 struct ArmLink {
     arm: usize,
-    /// Arm state shared with whichever worker thread currently serves
-    /// it; survives worker deaths, so restarts lose nothing.
-    core: Arc<Mutex<ArmState>>,
-    worker: Mutex<WorkerLink>,
+    core: Mutex<ArmState>,
     breaker: Mutex<Breaker>,
     /// In-flight requests (server-side view), mirrored into `depth`.
     pending: AtomicI64,
@@ -700,23 +585,17 @@ struct ArmLink {
     blocks_written: Counter,
     /// Cumulative busy time in microseconds (counter-friendly unit).
     busy_us: Counter,
-    /// Worker restarts on this arm.
-    restarts: Counter,
 }
 
 impl ArmLink {
-    /// Locks the worker slot. A poisoned lock is recovered: the slot
-    /// is a channel, a handle and a counter, all safe to reuse, and
-    /// refusing to serve would turn one panicked supervisor into a
-    /// permanently dead arm.
-    fn lock_worker(&self) -> MutexGuard<'_, WorkerLink> {
-        self.worker.lock().unwrap_or_else(PoisonError::into_inner)
-    }
-
     fn lock_breaker(&self) -> MutexGuard<'_, Breaker> {
         self.breaker.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
+    /// Locks the arm's state. A poisoned lock is recovered: every
+    /// change to the state is whole at request granularity, and
+    /// refusing to serve would turn one panicked build into a
+    /// permanently dead arm.
     fn lock_core(&self) -> MutexGuard<'_, ArmState> {
         self.core.lock().unwrap_or_else(PoisonError::into_inner)
     }
@@ -741,22 +620,24 @@ impl ArmLink {
     }
 
     /// Balances `pending` for a request that produced no I/O report
-    /// (its worker died, or dispatch ultimately failed). Every
-    /// accepted request is settled exactly once, by this or by
+    /// (its build thread could not be spawned or panicked). Every
+    /// entered request is settled exactly once, by this or by
     /// [`ArmLink::settle`], so the queue-depth gauge cannot drift
     /// under faults.
     fn settle_err(&self) {
         self.depth
             .set((self.pending.fetch_sub(1, Ordering::Relaxed) - 1) as f64);
     }
-}
 
-/// A request successfully handed to an arm worker: the reply channel
-/// plus the worker generation that accepted it, so a disconnect can
-/// tell whether that worker was already replaced.
-struct InFlight<R> {
-    generation: u64,
-    rx: Receiver<R>,
+    /// Runs one status, drop or shutdown request inline under the
+    /// arm's core lock, entered and settled like any request (with no
+    /// I/O booked, as these requests report none).
+    fn inline<T>(&self, f: impl FnOnce(&mut ArmState) -> T) -> T {
+        self.enter();
+        let out = f(&mut self.lock_core());
+        self.settle(&StatsDelta::default());
+        out
+    }
 }
 
 /// Server-side summary of one routed slot, captured from the arm that
@@ -773,7 +654,8 @@ struct SlotMeta {
 /// generation, as [`crate::concurrent::SharedWave`] promises) and take
 /// one arm's core lock at a time beneath it; maintenance takes it
 /// exclusively only for the O(1) flip, holding no core lock then, and
-/// workers never take it — so the route → core order has no cycle.
+/// build threads never take it — so the route → core order has no
+/// cycle.
 /// The flip also installs the new generation's [`SlotMeta`].
 struct Route {
     arm_of: BTreeMap<usize, usize>,
@@ -788,7 +670,7 @@ struct Route {
 ///
 /// See the [module docs](self) for the architecture. All query
 /// methods take `&self`, so a server wrapped in an
-/// [`Arc`] serves any number of reader threads while
+/// [`Arc`](std::sync::Arc) serves any number of reader threads while
 /// one maintenance thread commits epochs.
 ///
 /// ```
@@ -828,22 +710,18 @@ pub struct WaveServer {
     arm_elisions: Counter,
     /// `server.degraded_queries`: answers served with explicit gaps.
     degraded: Counter,
-    /// `server.worker_restarts`: supervised worker replacements.
-    worker_restarts: Counter,
     /// `server.breaker_trips`: arms quarantined by their breaker.
     breaker_trips: Counter,
 }
 
 impl WaveServer {
-    /// Launches one maintenance worker thread per arm of `array`. The
-    /// workers exit when the server is [shut down](WaveServer::shutdown)
-    /// (or dropped).
+    /// Launches a server over the arms of `array`. It starts no
+    /// thread: reads run on the caller's thread and builds on scoped
+    /// threads of the call that asks for them.
     ///
     /// # Errors
     /// [`IndexError::BadConfig`] if `cfg.reserve_maintenance_arm` is
-    /// set on a one-arm array; [`IndexError::WorkerLost`] if the OS
-    /// refuses to spawn a worker thread (already-spawned workers are
-    /// stopped by dropping their channels).
+    /// set on a one-arm array.
     pub fn launch(array: DiskArray, cfg: ServerConfig, obs: Obs) -> IndexResult<Self> {
         let arm_count = array.arm_count();
         if cfg.reserve_maintenance_arm && arm_count < 2 {
@@ -855,35 +733,19 @@ impl WaveServer {
         }
         let mut arms = Vec::with_capacity(arm_count);
         for (i, mut vol) in array.into_arms().into_iter().enumerate() {
-            // Workers report through the server's handle: their child
+            // Arms report through the server's handle: their child
             // spans join the request traces and their disk/sched
             // metrics aggregate into the one registry operators read.
             vol.attach_obs(obs.clone());
-            let core = Arc::new(Mutex::new(ArmState {
-                arm: i,
-                cfg: cfg.index,
-                vol,
-                slots: BTreeMap::new(),
-                retry: cfg.fault.retry,
-                retries: obs.counter("server.read_retries"),
-            }));
-            let (tx, rx) = channel();
-            let thread_core = Arc::clone(&core);
-            let handle = std::thread::Builder::new()
-                .name(format!("wave-arm-{i}"))
-                .spawn(move || worker_loop(&thread_core, rx))
-                .map_err(|_| IndexError::WorkerLost {
-                    what: "OS refused to spawn an arm worker",
-                    arm: i,
-                    epoch: 0,
-                })?;
             arms.push(ArmLink {
                 arm: i,
-                core,
-                worker: Mutex::new(WorkerLink {
-                    generation: 0,
-                    tx,
-                    handle: Some(handle),
+                core: Mutex::new(ArmState {
+                    arm: i,
+                    cfg: cfg.index,
+                    vol,
+                    slots: BTreeMap::new(),
+                    retry: cfg.fault.retry,
+                    retries: obs.counter("server.read_retries"),
                 }),
                 breaker: Mutex::new(Breaker::new(cfg.fault.trip_after, cfg.fault.cooldown)),
                 pending: AtomicI64::new(0),
@@ -893,7 +755,6 @@ impl WaveServer {
                 blocks_read: obs.counter(&format!("server.arm{i}.blocks_read")),
                 blocks_written: obs.counter(&format!("server.arm{i}.blocks_written")),
                 busy_us: obs.counter(&format!("server.arm{i}.busy_us")),
-                restarts: obs.counter(&format!("server.arm{i}.restarts")),
             });
         }
         Ok(WaveServer {
@@ -912,7 +773,6 @@ impl WaveServer {
             filter_skips: obs.counter("filter.skips"),
             arm_elisions: obs.counter("filter.arm_elisions"),
             degraded: obs.counter("server.degraded_queries"),
-            worker_restarts: obs.counter("server.worker_restarts"),
             breaker_trips: obs.counter("server.breaker_trips"),
             obs,
         })
@@ -976,159 +836,6 @@ impl WaveServer {
             .maintenance
     }
 
-    /// A typed [`IndexError::WorkerLost`] stamped with the arm and
-    /// the epoch current when the loss was detected, so failure
-    /// reports attribute losses to a placement generation.
-    fn worker_lost(&self, what: &'static str, arm: usize) -> IndexError {
-        IndexError::WorkerLost {
-            what,
-            arm,
-            epoch: self.epoch(),
-        }
-    }
-
-    /// Replaces a dead worker thread for `link`'s arm: reaps the old
-    /// handle, spawns a fresh thread against the same shared
-    /// [`ArmState`], and bumps the link's worker generation. Runs
-    /// under the caller-held worker lock, so concurrent restarters
-    /// serialise and [`WaveServer::ensure_restarted`] can tell a
-    /// replacement already happened. Every restart mints a
-    /// root-spanned trace and bumps `server.worker_restarts`.
-    fn restart_worker(
-        &self,
-        link: &ArmLink,
-        worker: &mut WorkerLink,
-        why: &'static str,
-    ) -> IndexResult<()> {
-        let mut span = self.obs.root_span(
-            "server.restart_worker",
-            fields![("arm", link.arm as u64), ("why", why)],
-        );
-        // The dead worker's receiver is gone, so its loop has exited
-        // (or is about to); reap it before spawning the replacement.
-        if let Some(h) = worker.handle.take() {
-            let _ = h.join();
-        }
-        let (tx, rx) = channel();
-        let core = Arc::clone(&link.core);
-        let spawned = std::thread::Builder::new()
-            .name(format!("wave-arm-{}", link.arm))
-            .spawn(move || worker_loop(&core, rx));
-        match spawned {
-            Ok(handle) => {
-                worker.tx = tx;
-                worker.handle = Some(handle);
-                worker.generation += 1;
-                self.worker_restarts.inc();
-                link.restarts.inc();
-                span.set_end_field("generation", worker.generation);
-                Ok(())
-            }
-            Err(_) => {
-                let e = self.worker_lost("OS refused to respawn an arm worker", link.arm);
-                span.set_end_field("arm", link.arm as u64);
-                span.set_end_field("error", e.to_string());
-                Err(e)
-            }
-        }
-    }
-
-    /// Restarts `link`'s worker unless its generation already moved
-    /// past `observed`: a collector that saw a disconnect calls this,
-    /// and when several collectors race, the first one restarts while
-    /// the rest no-op against the bumped generation (joining the live
-    /// replacement from here would deadlock against its `recv` loop).
-    fn ensure_restarted(
-        &self,
-        link: &ArmLink,
-        observed: u64,
-        why: &'static str,
-    ) -> IndexResult<()> {
-        let mut worker = link.lock_worker();
-        if worker.generation != observed {
-            return Ok(());
-        }
-        self.restart_worker(link, &mut worker, why)
-    }
-
-    /// Hands `req` to `link`'s worker, restarting the worker in place
-    /// (up to the configured attempts) when its channel is closed —
-    /// `SendError` returns the unsent request, so the resend loses
-    /// nothing. On success returns the generation of the worker that
-    /// accepted the request; the request is then in flight and the
-    /// caller owes exactly one [`ArmLink::settle`] /
-    /// [`ArmLink::settle_err`].
-    fn send_to(&self, link: &ArmLink, req: ArmRequest) -> IndexResult<u64> {
-        link.enter();
-        let mut worker = link.lock_worker();
-        let mut req = req;
-        let mut restarts = 0u32;
-        loop {
-            match worker.tx.send(req) {
-                Ok(()) => return Ok(worker.generation),
-                Err(SendError(returned)) => {
-                    req = returned;
-                    restarts += 1;
-                    if restarts > self.cfg.fault.restart_attempts {
-                        link.settle_err();
-                        return Err(
-                            self.worker_lost("arm worker's request channel is closed", link.arm)
-                        );
-                    }
-                    if let Err(e) =
-                        self.restart_worker(link, &mut worker, "request channel closed at dispatch")
-                    {
-                        link.settle_err();
-                        return Err(e);
-                    }
-                }
-            }
-        }
-    }
-
-    /// Dispatches one request built by `make` to `link`, returning
-    /// the in-flight reply handle.
-    fn dispatch<R>(
-        &self,
-        link: &ArmLink,
-        make: &impl Fn(Sender<R>) -> ArmRequest,
-    ) -> IndexResult<InFlight<R>> {
-        let (tx, rx) = channel();
-        let generation = self.send_to(link, make(tx))?;
-        Ok(InFlight { generation, rx })
-    }
-
-    /// Waits for an in-flight request's reply, surviving worker
-    /// deaths: a disconnect means the request died *unprocessed* (a
-    /// processed request's reply is buffered before the worker can
-    /// exit), so after making sure a replacement worker is running it
-    /// is safe to re-issue the same request. Bounded by the configured
-    /// restart attempts. On `Ok` the caller still owes the settle for
-    /// the accepted request; every failed attempt is settled here.
-    fn collect<R>(
-        &self,
-        link: &ArmLink,
-        mut inflight: InFlight<R>,
-        what: &'static str,
-        make: &impl Fn(Sender<R>) -> ArmRequest,
-    ) -> IndexResult<R> {
-        let mut restarts = 0u32;
-        loop {
-            match inflight.rx.recv() {
-                Ok(r) => return Ok(r),
-                Err(_) => {
-                    link.settle_err();
-                    self.ensure_restarted(link, inflight.generation, what)?;
-                    restarts += 1;
-                    if restarts > self.cfg.fault.restart_attempts {
-                        return Err(self.worker_lost(what, link.arm));
-                    }
-                    inflight = self.dispatch(link, make)?;
-                }
-            }
-        }
-    }
-
     /// Whether a query may use `link`'s arm right now. Only consulted
     /// when degraded reads are enabled: without them, skipping an arm
     /// would silently drop its slots, so every arm is always admitted
@@ -1184,24 +891,12 @@ impl WaveServer {
         );
     }
 
-    /// Chaos hook: kills `arm`'s worker thread. The worker exits
-    /// without replying; maintenance requests still queued behind the
-    /// kill are re-issued by their supervising callers against the
-    /// restarted worker, which reattaches to the same arm state. Reads
-    /// need no worker and are unaffected. A worker that is already
-    /// dead makes this a no-op.
-    pub fn kill_worker(&self, arm: usize) -> IndexResult<()> {
-        let link = self.arm(arm)?;
-        let worker = link.lock_worker();
-        let _ = worker.tx.send(ArmRequest::Kill);
-        Ok(())
-    }
-
-    /// Chaos hook: arms a transient read-fault burst on `arm`'s
-    /// volume — after `after` further device operations, the next
-    /// `count` fail with a retryable transient error. Exercises the
-    /// serving-path retry and, when the burst outlasts the retry
-    /// budget, the circuit breaker.
+    /// Chaos hook: arms a transient fault burst on `arm`'s volume —
+    /// after `after` further device operations (reads or writes), the
+    /// next `count` fail with a retryable transient error. Exercises
+    /// the serving-path retry, the circuit breaker when the burst
+    /// outlasts the retry budget, and a failed build when it lands in
+    /// one.
     pub fn inject_transient_reads(&self, arm: usize, after: u64, count: u64) -> IndexResult<()> {
         let link = self.arm(arm)?;
         link.lock_core().vol.inject_transient_after(after, count);
@@ -1231,7 +926,8 @@ impl WaveServer {
     /// by the configured [`PlacementStrategy`] (greedy weighs slots
     /// by entry count) and built **concurrently**, one build per arm
     /// at a time. Returns the build elapsed time — the busiest arm's
-    /// share, the parallel-build advantage of Section 8.
+    /// share, the parallel-build advantage of Section 8. A failed
+    /// build fails the install, which then routes no slot.
     pub fn install_wave(&self, slot_batches: Vec<Vec<DayBatch>>) -> IndexResult<f64> {
         let route = self.route_read()?;
         let query_arms = self.query_arms(&route);
@@ -1250,62 +946,37 @@ impl WaveServer {
         );
         let ctx = span.ctx();
         let result = (|| -> IndexResult<f64> {
-            let epoch = self.epoch();
             let mut placements = BTreeMap::new();
-            let mut placed: Vec<(usize, usize, Vec<DayBatch>)> = Vec::new();
+            let mut builds = Vec::new();
             for (slot, batches) in slot_batches.into_iter().enumerate() {
                 let arm = *query_arms.get(map.arm_of(slot)).ok_or_else(|| {
                     IndexError::Corrupt(format!("placement mapped slot {slot} past the query arms"))
                 })?;
                 placements.insert(slot, arm);
-                placed.push((slot, arm, batches));
-            }
-            // Dispatch every build first (they run concurrently, one
-            // per arm at a time), then collect. Collect every reply
-            // even on error so queue-depth gauges and the placement
-            // table stay coherent.
-            let mut first_err: Option<IndexError> = None;
-            let mut inflight: Vec<(usize, InFlight<IndexResult<BuildDone>>)> = Vec::new();
-            for (pi, (slot, arm, batches)) in placed.iter().enumerate() {
-                let make = build_request(*slot, epoch, batches, ctx);
-                match self.arm(*arm).and_then(|link| self.dispatch(link, &make)) {
-                    Ok(inf) => inflight.push((pi, inf)),
-                    Err(e) => first_err = first_err.or(Some(e)),
-                }
+                builds.push((slot, self.arm(arm)?, batches));
             }
             let mut per_arm = vec![0.0f64; self.arms.len()];
-            let mut done = 0usize;
             let mut metas: Vec<(usize, SlotMeta)> = Vec::new();
-            for (pi, inf) in inflight {
-                let Some((slot, arm, batches)) = placed.get(pi) else {
-                    continue;
-                };
-                let Ok(link) = self.arm(*arm) else {
-                    continue;
-                };
-                let make = build_request(*slot, epoch, batches, ctx);
-                match self.collect(link, inf, "arm worker disconnected mid-install", &make) {
-                    Ok(Ok(BuildDone {
-                        arm,
-                        io,
-                        span,
-                        filter,
-                    })) => {
-                        done += 1;
-                        link.settle(&io);
-                        if let Some(s) = per_arm.get_mut(arm) {
-                            *s += io.sim_seconds;
+            let mut first_err: Option<IndexError> = None;
+            for built in self.build_on_arms(self.epoch(), ctx, builds) {
+                match built {
+                    Ok(done) => {
+                        if let Some(s) = per_arm.get_mut(done.arm) {
+                            *s += done.io.sim_seconds;
                         }
-                        metas.push((*slot, SlotMeta { span, filter }));
-                    }
-                    Ok(Err(e)) => {
-                        link.settle(&StatsDelta::default());
-                        first_err = first_err.or(Some(e));
+                        let meta = SlotMeta {
+                            span: done.span,
+                            filter: done.filter,
+                        };
+                        metas.push((done.slot, meta));
                     }
                     Err(e) => first_err = first_err.or(Some(e)),
                 }
             }
-            span.event("server.install.done", fields![("builds", done as u64)]);
+            span.event(
+                "server.install.done",
+                fields![("builds", metas.len() as u64)],
+            );
             if let Some(e) = first_err {
                 return Err(e);
             }
@@ -1332,6 +1003,85 @@ impl WaveServer {
             Err(e) => span.set_end_field("error", e.to_string()),
         }
         result
+    }
+
+    /// The one seam for builds, behind [`WaveServer::install_wave`]
+    /// and [`WaveServer::maintain`]: runs each `(slot, arm, batches)`
+    /// build under `epoch`'s label (`slot{j}.e{epoch}`), one scoped
+    /// thread per arm that has builds. Each thread takes its arm's
+    /// core lock and runs that arm's builds in submission order, each
+    /// under an `arm.build` child span of `ctx`. Every thread is joined
+    /// before this returns, so callers change routes only after all
+    /// builds finished. Each build is entered before the threads start
+    /// and settled once after the join. Results come back in
+    /// submission order; a build whose thread could not be spawned or
+    /// panicked is [`IndexError::WorkerLost`].
+    fn build_on_arms(
+        &self,
+        epoch: u64,
+        ctx: TraceCtx,
+        builds: Vec<(usize, &ArmLink, Vec<DayBatch>)>,
+    ) -> Vec<IndexResult<BuildDone>> {
+        let mut per_arm: BTreeMap<usize, (&ArmLink, ArmBuilds)> = BTreeMap::new();
+        for (i, (slot, link, batches)) in builds.into_iter().enumerate() {
+            link.enter();
+            per_arm
+                .entry(link.arm)
+                .or_insert_with(|| (link, Vec::new()))
+                .1
+                .push((i, slot, batches));
+        }
+        let mut results: Vec<(usize, IndexResult<BuildDone>)> = Vec::new();
+        std::thread::scope(|scope| {
+            let threads: Vec<_> = per_arm
+                .into_values()
+                .map(|(link, jobs)| {
+                    let order: Vec<usize> = jobs.iter().map(|&(i, _, _)| i).collect();
+                    let thread = std::thread::Builder::new()
+                        .name(format!("wave-build-{}", link.arm))
+                        .spawn_scoped(scope, move || {
+                            let mut core = link.lock_core();
+                            jobs.into_iter()
+                                .map(|(_, slot, batches)| {
+                                    let label = format!("slot{slot}.e{epoch}");
+                                    core.traced(ctx, "arm.build", |s, _| {
+                                        s.build(slot, label, batches)
+                                    })
+                                })
+                                .collect::<Vec<_>>()
+                        });
+                    (link, order, thread)
+                })
+                .collect();
+            for (link, order, thread) in threads {
+                let (what, outcomes) = match thread {
+                    Ok(t) => ("arm build thread panicked", t.join().ok()),
+                    Err(_) => ("OS refused to spawn an arm build thread", None),
+                };
+                let Some(outcomes) = outcomes else {
+                    for i in order {
+                        link.settle_err();
+                        let arm = link.arm;
+                        let lost = IndexError::WorkerLost {
+                            what,
+                            arm,
+                            epoch: self.epoch(),
+                        };
+                        results.push((i, Err(lost)));
+                    }
+                    continue;
+                };
+                for (i, built) in order.into_iter().zip(outcomes) {
+                    match &built {
+                        Ok(done) => link.settle(&done.io),
+                        Err(_) => link.settle(&StatsDelta::default()),
+                    }
+                    results.push((i, built));
+                }
+            }
+        });
+        results.sort_by_key(|&(i, _)| i);
+        results.into_iter().map(|(_, built)| built).collect()
     }
 
     /// Decides whether `arm` needs no request for a probe of `values`:
@@ -1603,7 +1353,8 @@ impl WaveServer {
     /// flip moves the slot to the maintenance arm, the displaced
     /// constituent is released, and its arm becomes the new
     /// maintenance arm. Queries proceed untouched throughout the
-    /// build; only the flip excludes them, momentarily.
+    /// build; only the flip excludes them, momentarily. A failed build
+    /// returns its error and commits nothing.
     ///
     /// Requires [`ServerConfig::reserve_maintenance_arm`] and an
     /// already-installed `slot`.
@@ -1634,23 +1385,13 @@ impl WaveServer {
             );
             // Phase 1 (off the query path): build the replacement fully
             // on the maintenance arm, under the next epoch's label.
-            // Supervised like any query: a maintenance-arm worker
-            // death restarts the worker and re-issues the build.
             let link = self.arm(build_arm)?;
-            let make = build_request(slot, epoch, &batches, ctx);
-            let inf = self.dispatch(link, &make)?;
-            let done =
-                match self.collect(link, inf, "maintenance arm disconnected mid-build", &make) {
-                    Ok(Ok(done)) => {
-                        link.settle(&done.io);
-                        done
-                    }
-                    Ok(Err(e)) => {
-                        link.settle(&StatsDelta::default());
-                        return Err(e);
-                    }
-                    Err(e) => return Err(e),
-                };
+            let done = self
+                .build_on_arms(epoch, ctx, vec![(slot, link, batches)])
+                .pop()
+                .ok_or_else(|| {
+                    IndexError::Corrupt("maintenance build returned nothing".into())
+                })??;
             // Phase 2: the O(1) commit. Waits for in-flight queries, then
             // flips the route (and the slot's pruning metadata, in the
             // same critical section); new queries route to the new
@@ -1662,7 +1403,7 @@ impl WaveServer {
                     slot,
                     SlotMeta {
                         span: done.span,
-                        filter: done.filter.clone(),
+                        filter: done.filter,
                     },
                 );
                 route.maintenance = Some(old_arm);
@@ -1672,15 +1413,9 @@ impl WaveServer {
             // reach it: the flip already routed the slot away. When the
             // slot already lived on the maintenance arm (more slots than
             // query arms), the build replaced it in place and released
-            // the old generation itself; a Drop would delete the new one.
+            // the old generation itself; a drop would delete the new one.
             if old_arm != build_arm {
-                let link = self.arm(old_arm)?;
-                let make = |reply| ArmRequest::Drop { slot, reply };
-                let inf = self.dispatch(link, &make)?;
-                let dropped =
-                    self.collect(link, inf, "displaced arm disconnected during GC", &make)?;
-                link.settle(&StatsDelta::default());
-                dropped?;
+                self.arm(old_arm)?.inline(|core| core.drop_slot(slot))?;
             }
             span.event("server.maintain.done", fields![("epoch", epoch)]);
             Ok(MaintainReport {
@@ -1709,46 +1444,25 @@ impl WaveServer {
 
     /// Per-arm snapshots (slots owned, entries, blocks, busy time).
     pub fn status(&self) -> IndexResult<Vec<ArmStatus>> {
-        let mut out = Vec::with_capacity(self.arms.len());
-        for link in &self.arms {
-            let make = |reply| ArmRequest::Status { reply };
-            let inf = self.dispatch(link, &make)?;
-            let status = self.collect(link, inf, "arm worker disconnected during status", &make)?;
-            link.settle(&StatsDelta::default());
-            out.push(status);
-        }
-        Ok(out)
+        let status = |core: &mut ArmState| ArmStatus {
+            arm: core.arm,
+            slots: core.slots.keys().copied().collect(),
+            entries: core.slots.values().map(ConstituentIndex::entry_count).sum(),
+            live_blocks: core.vol.live_blocks(),
+            busy_seconds: core.vol.stats().sim_seconds,
+        };
+        Ok(self.arms.iter().map(|link| link.inline(status)).collect())
     }
 
-    /// Releases every constituent on every arm, stops the workers,
-    /// and verifies no arm leaked blocks.
+    /// Releases every constituent on every arm and verifies no arm
+    /// leaked blocks.
     pub fn shutdown(self) -> IndexResult<()> {
         let mut first_err = None;
         let mut leaked = 0u64;
         for link in &self.arms {
-            // Supervised like any other request: a dead worker is
-            // restarted so a live thread drains and releases the
-            // shared arm state — otherwise a kill just before
-            // shutdown would leak every constituent on the arm.
-            let make = |reply| ArmRequest::Shutdown { reply };
-            let drained = self.dispatch(link, &make).and_then(|inf| {
-                self.collect(link, inf, "arm worker disconnected during shutdown", &make)
-            });
-            match drained {
-                Ok(result) => {
-                    link.settle(&StatsDelta::default());
-                    match result {
-                        Ok(live) => leaked += live,
-                        Err(e) => first_err = first_err.or(Some(e)),
-                    }
-                }
+            match link.inline(ArmState::drain) {
+                Ok(live) => leaked += live,
                 Err(e) => first_err = first_err.or(Some(e)),
-            }
-        }
-        for link in &self.arms {
-            let handle = link.lock_worker().handle.take();
-            if let Some(h) = handle {
-                let _ = h.join();
             }
         }
         if let Some(e) = first_err {
@@ -1760,25 +1474,6 @@ impl WaveServer {
             )));
         }
         Ok(())
-    }
-}
-
-impl Drop for WaveServer {
-    fn drop(&mut self) {
-        // Best-effort Shutdown per arm (ignored if the worker is
-        // already gone), then join so no thread outlives the server
-        // (storage is simulated, nothing leaks outside the process).
-        for link in &self.arms {
-            let handle = {
-                let mut worker = link.lock_worker();
-                let (tx, _rx) = channel();
-                let _ = worker.tx.send(ArmRequest::Shutdown { reply: tx });
-                worker.handle.take()
-            };
-            if let Some(h) = handle {
-                let _ = h.join();
-            }
-        }
     }
 }
 
@@ -2438,14 +2133,22 @@ mod tests {
         assert!(!b.record_error(), "healthy again: error count restarted");
     }
 
+    /// A burst on the maintenance arm that outlasts the retry budget
+    /// fails the build mid-way: `maintain` returns the error, commits
+    /// no epoch and moves no route, readers keep their answers, and
+    /// every entered request is settled. Once the arm heals, the next
+    /// `maintain` succeeds.
     #[test]
-    fn killed_workers_restart_and_queries_survive() {
+    fn failed_maintenance_build_changes_no_route() {
         use std::sync::Arc;
         use wave_obs::MemorySink;
         let obs = Obs::new(Arc::new(MemorySink::new()));
         let server = WaveServer::launch(
-            DiskArray::new(DiskConfig::default(), 2),
-            ServerConfig::default(),
+            DiskArray::new(DiskConfig::default(), 3),
+            ServerConfig {
+                reserve_maintenance_arm: true,
+                ..Default::default()
+            },
             obs.clone(),
         )
         .unwrap();
@@ -2453,31 +2156,70 @@ mod tests {
         let want = server
             .probe(&SearchValue::from("k"), TimeRange::all())
             .unwrap();
-        assert!(want.partial.is_none());
-        for arm in 0..2 {
-            server.kill_worker(arm).unwrap();
-        }
-        // Reads run on the caller's thread: dead workers neither fail
-        // nor delay them, and no restart is needed to answer.
+        let routes = |s: &WaveServer| (0..4).map(|slot| s.arm_of(slot)).collect::<Vec<_>>();
+        let before = routes(&server);
+        let maint = server.maintenance_arm().unwrap();
+        server.inject_transient_reads(maint, 0, 1_000_000).unwrap();
+        let err = server.maintain(1, vec![day_batch(2, 35, "k")]).unwrap_err();
+        assert!(err.is_transient(), "{err}");
+        assert_eq!(server.epoch(), 0);
+        assert_eq!(routes(&server), before);
+        assert_eq!(server.maintenance_arm(), Some(maint));
         let got = server
             .probe(&SearchValue::from("k"), TimeRange::all())
             .unwrap();
-        assert_eq!(got.entries, want.entries, "dead workers lose nothing");
+        assert_eq!(got.entries, want.entries, "a failed build loses nothing");
         assert!(got.partial.is_none());
-        assert_eq!(obs.counter("server.worker_restarts").get(), 0);
-        // A worker-bound request restarts both workers against the
-        // same arm state.
-        let status = server.status().unwrap();
-        assert_eq!(status.iter().map(|s| s.slots.len()).sum::<usize>(), 4);
-        assert!(obs.counter("server.worker_restarts").get() >= 2);
-        for arm in 0..2 {
+        for arm in 0..3 {
             assert_eq!(
                 obs.gauge(&format!("server.arm{arm}.queue_depth")).get(),
                 0.0,
-                "pending accounting survives restarts"
+                "arm {arm}: pending accounting survives a failed build"
             );
         }
+        server.clear_arm_faults(maint).unwrap();
+        let report = server.maintain(1, vec![day_batch(2, 35, "k")]).unwrap();
+        assert_eq!(report.epoch, 1);
+        assert_eq!(server.arm_of(1), Some(maint));
+        let after = server
+            .probe(&SearchValue::from("k"), TimeRange::all())
+            .unwrap();
+        assert_eq!(after.entries.len(), 3 * 30 + 35);
         server.shutdown().unwrap();
+    }
+
+    /// Status, the displaced generation's drop and shutdown run inline
+    /// under the arm's core lock, and each still enters its arm once
+    /// and settles once, as a build does.
+    #[test]
+    fn inline_requests_enter_and_settle_once() {
+        use std::sync::Arc;
+        use wave_obs::MemorySink;
+        let obs = Obs::new(Arc::new(MemorySink::new()));
+        let server = WaveServer::launch(
+            DiskArray::new(DiskConfig::default(), 3),
+            ServerConfig {
+                reserve_maintenance_arm: true,
+                ..Default::default()
+            },
+            obs.clone(),
+        )
+        .unwrap();
+        server.install_wave(slot_batches(2, 20)).unwrap();
+        let requests = |arm: usize| obs.counter(&format!("server.arm{arm}.requests")).get();
+        let depth = |arm: usize| obs.gauge(&format!("server.arm{arm}.queue_depth")).get();
+        assert_eq!((0..3).map(requests).collect::<Vec<_>>(), [1, 1, 0]);
+        server.status().unwrap();
+        assert_eq!((0..3).map(requests).collect::<Vec<_>>(), [2, 2, 1]);
+        // One build on the maintenance arm, one drop on the displaced.
+        let report = server.maintain(0, vec![day_batch(1, 20, "k")]).unwrap();
+        assert_eq!((report.built_on, report.released_from), (2, 0));
+        assert_eq!((0..3).map(requests).collect::<Vec<_>>(), [3, 2, 2]);
+        server.shutdown().unwrap();
+        assert_eq!((0..3).map(requests).collect::<Vec<_>>(), [4, 3, 3]);
+        for arm in 0..3 {
+            assert_eq!(depth(arm), 0.0, "arm {arm}");
+        }
     }
 
     /// Every arm a query asks is entered and settled exactly once —
@@ -2545,18 +2287,27 @@ mod tests {
         server.shutdown().unwrap();
     }
 
+    /// A build that fails on one faulted query arm fails the whole
+    /// install, which routes no slot; the constituent built on the
+    /// healthy arm is still released by `shutdown`, whose leak check
+    /// passes.
     #[test]
-    fn kill_just_before_shutdown_does_not_leak() {
+    fn failed_install_routes_nothing_and_does_not_leak() {
         let server = WaveServer::launch(
             DiskArray::new(DiskConfig::default(), 2),
             ServerConfig::default(),
             Obs::noop(),
         )
         .unwrap();
-        server.install_wave(slot_batches(2, 10)).unwrap();
-        server.kill_worker(0).unwrap();
-        // Shutdown restarts the dead worker so the shared arm state is
-        // drained by a live thread; the internal leak check passes.
+        server.inject_transient_reads(1, 0, 1_000_000).unwrap();
+        let err = server.install_wave(slot_batches(2, 10)).unwrap_err();
+        assert!(err.is_transient(), "{err}");
+        for slot in 0..2 {
+            assert_eq!(server.arm_of(slot), None, "slot {slot}");
+        }
+        let q = server.scan(TimeRange::all()).unwrap();
+        assert!(q.entries.is_empty() && q.indexes_accessed == 0);
+        server.clear_arm_faults(1).unwrap();
         server.shutdown().unwrap();
     }
 

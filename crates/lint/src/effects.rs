@@ -45,11 +45,8 @@ pub struct Effects {
     pub guard_helper: Vec<Option<usize>>,
     /// May reach `commit_wave` (directly or transitively).
     pub commits: Vec<bool>,
-    /// May settle an arm request: calls `.settle(`/`.settle_err(` or
-    /// sends on a `reply` channel, directly or via callees — but
-    /// *not* via the dispatch primitives (`send_to`, `dispatch`),
-    /// whose internal error-path settles must not launder the
-    /// caller's own obligation.
+    /// May settle an arm request: calls `.settle(`/`.settle_err(`,
+    /// directly or via callees.
     pub settles: Vec<bool>,
     /// What the fn does to its `&mut WriteBuffer` parameter, if any.
     pub buffer_outcome: Vec<BufferOutcome>,
@@ -194,8 +191,7 @@ impl Effects {
                     }
                 }
                 for &c in &graph.callees[id] {
-                    let laundered = matches!(graph.fns[c].name.as_str(), "send_to" | "dispatch");
-                    if fx.settles[c] && !laundered && !fx.settles[id] {
+                    if fx.settles[c] && !fx.settles[id] {
                         fx.settles[id] = true;
                         changed = true;
                     }
@@ -275,28 +271,14 @@ fn body_calls_name(toks: &[Token], body: std::ops::Range<usize>, name: &str) -> 
     false
 }
 
-/// `.settle(` / `.settle_err(` / `reply.send(`.
+/// `.settle(` / `.settle_err(`.
 fn direct_settles(toks: &[Token], body: std::ops::Range<usize>) -> bool {
-    for i in body.clone() {
-        let t = &toks[i];
-        if !toks.get(i + 1).is_some_and(|n| n.is_punct('(')) {
-            continue;
-        }
-        if matches!(t.text.as_str(), "settle" | "settle_err")
+    body.clone().any(|i| {
+        matches!(toks[i].text.as_str(), "settle" | "settle_err")
             && i > body.start
             && toks[i - 1].is_punct('.')
-        {
-            return true;
-        }
-        if t.is_ident("send")
-            && i >= body.start + 2
-            && toks[i - 1].is_punct('.')
-            && toks[i - 2].is_ident("reply")
-        {
-            return true;
-        }
-    }
-    false
+            && toks.get(i + 1).is_some_and(|n| n.is_punct('('))
+    })
 }
 
 /// Whether a signature's return type mentions a `*Guard` type.
@@ -438,22 +420,6 @@ mod tests {
         let (_, g, fx) = setup(src);
         assert!(fx.commits[id(&g, "outer")]);
         assert!(fx.settles[id(&g, "caller")]);
-    }
-
-    #[test]
-    fn settles_do_not_launder_through_dispatch_primitives() {
-        let src = "impl S {\n\
-            fn send_to(&self, link: &ArmLink) { link.settle_err(); }\n\
-            fn forgetful(&self) { self.send_to(&l); }\n\
-            fn diligent(&self, link: &ArmLink) { self.send_to(&l); link.settle(1); }\n\
-        }\n";
-        let (_, g, fx) = setup(src);
-        assert!(fx.settles[id(&g, "send_to")], "direct settle_err counts");
-        assert!(
-            !fx.settles[id(&g, "forgetful")],
-            "must not inherit via send_to"
-        );
-        assert!(fx.settles[id(&g, "diligent")]);
     }
 
     #[test]

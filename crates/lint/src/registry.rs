@@ -200,7 +200,7 @@ mod tests {
             obs.histogram(\"disk.seek_distance\").record(3);\n\
             let s = obs.root_span(\"commit_wave\", &[]);\n\
             let c = obs.child_span(ctx, \"arm.probe\", &[]);\n\
-            obs.counter(&format!(\"server.arm{i}.restarts\")).add(1);\n\
+            obs.counter(&format!(\"server.arm{i}.requests\")).add(1);\n\
         }\n\
         #[cfg(test)]\nmod tests { fn t(obs: &Obs) { obs.counter(\"test.only\").add(1); } }\n";
         let scan = scan_file("crates/core/src/x.rs", src);

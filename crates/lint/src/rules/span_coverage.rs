@@ -22,7 +22,6 @@ pub const REQUIRED_SPANS: &[(&str, &str)] = &[
     ("crates/core/src/server.rs", "install_wave"),
     ("crates/core/src/server.rs", "gather"),
     ("crates/core/src/server.rs", "maintain"),
-    ("crates/core/src/server.rs", "restart_worker"),
     ("crates/core/src/server.rs", "degraded_query"),
     ("crates/core/src/persist.rs", "commit_wave"),
     ("crates/core/src/recovery.rs", "recover"),

@@ -208,7 +208,7 @@ fn each_rule_fires_on_its_fixture_with_file_and_line() {
         (
             "settle-exactly-once",
             "crates/core/src/server.rs",
-            "enum ArmRequest {\n    Probe { value: u64, reply: Sender<u64> },\n    Kill,\n}\nimpl ArmState {\n    fn handle(&mut self, req: ArmRequest) -> bool {\n        match req {\n            ArmRequest::Probe { value, reply } => true, // HERE\n            ArmRequest::Kill => false,\n        }\n    }\n}\n",
+            "impl WaveServer {\n    fn status(&self, link: &ArmLink) -> u64 { // HERE\n        link.enter();\n        link.lock_core().live_blocks()\n    }\n}\n",
         ),
         (
             "waiver-hygiene",
@@ -398,12 +398,12 @@ fn derived_helpers_cover_the_old_hand_table() {
             "helper `{helper}` should be inferred to acquire `{lock}`; table: {helpers:?}"
         );
     }
-    // And the settle rule's protocol anchors exist on the real tree —
-    // if the enum or primitives were renamed, the rule would silently
-    // stop checking anything.
+    // And the settle rule's protocol anchor exists on the real tree —
+    // if `enter` were renamed, the rule would silently stop checking
+    // anything.
     assert!(
-        !graph.ids_named("send_to").is_empty(),
-        "send_to must be a call-graph node"
+        !graph.ids_named("enter").is_empty(),
+        "enter must be a call-graph node"
     );
     assert!(
         ws.files
@@ -411,6 +411,34 @@ fn derived_helpers_cover_the_old_hand_table() {
             .any(|f| f.rel == "crates/core/src/server.rs"),
         "server.rs must be scanned"
     );
+}
+
+/// The settle rule is alive on the real server with no request enum
+/// to anchor it: `server.rs` as committed is clean, and with its
+/// settle calls renamed away, every function that enters a request —
+/// the read fan-out, the build helper and the inline helper — is
+/// flagged.
+#[test]
+fn settle_rule_guards_the_real_server() {
+    let path = "crates/core/src/server.rs";
+    let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
+    let src = std::fs::read_to_string(root.join(path)).unwrap();
+    let flagged = |src: &str| -> Vec<String> {
+        violations(path, src)
+            .into_iter()
+            .filter(|v| v.rule == "settle-exactly-once")
+            .map(|v| v.message)
+            .collect()
+    };
+    assert_eq!(flagged(&src), Vec::<String>::new());
+    let planted = src
+        .replace(".settle(", ".book(")
+        .replace(".settle_err(", ".book_err(");
+    let got = flagged(&planted);
+    for entry in ["::gather`", "::build_on_arms`", "::inline`"] {
+        assert!(got.iter().any(|m| m.contains(entry)), "{entry}: {got:?}");
+    }
+    assert_eq!(got.len(), 3, "{got:?}");
 }
 
 /// The `--json` rendering follows the documented `wave-lint/v2`

@@ -49,7 +49,6 @@ pub const COUNTERS: &[&str] = &[
     "server.degraded_queries",
     "server.queries",
     "server.read_retries",
-    "server.worker_restarts",
     "shared.read_retries",
     "store.retry_attempts",
 ];
@@ -83,7 +82,6 @@ pub const SPANS: &[&str] = &[
     "server.maintain",
     "server.query",
     "server.query_batch",
-    "server.restart_worker",
     "shared.probe",
     "shared.query_batch",
     "shared.scan",

@@ -2,7 +2,7 @@
 //!
 //! [`RetryPolicy`] is the one retry type every layer shares: the
 //! persistence layer's `commit_wave` wraps each store operation in it,
-//! and the serving stack (`WaveServer` arm workers, `SharedWave`)
+//! and the serving stack (`WaveServer`'s arms, `SharedWave`)
 //! wraps transient read errors on the probe/scan/batch paths. Only
 //! errors in the transient class ([`StorageError::is_transient`], or
 //! whatever predicate [`RetryPolicy::run_where`] is given) are
