@@ -5,6 +5,31 @@
 set -euo pipefail
 cd "$(dirname "$0")"
 
+# Builds one test binary and runs it alone, back to back, failing on
+# the first failed run with that run's output. A test whose harness is
+# paced or median-of-pairs must pass every time, so a failure here is a
+# bug, not bad luck.
+#   repeat_test_binary TIMES STEM CARGO_TEST_ARGS...
+# STEM is the binary's file name before cargo's `-<hash>` suffix.
+repeat_test_binary() {
+  local times=$1 stem=$2
+  shift 2
+  local bin
+  bin=$(cargo test -q --offline "$@" --no-run --message-format=json 2>/dev/null \
+    | sed -n "s/.*\"executable\":\"\([^\"]*\/$stem-[^\"]*\)\".*/\1/p" | tail -n 1)
+  if [ -z "$bin" ]; then
+    echo "$stem: test binary not found" >&2
+    exit 1
+  fi
+  for run in $(seq 1 "$times"); do
+    "$bin" -q > "target/$stem.repeat.out" 2>&1 || {
+      cat "target/$stem.repeat.out" >&2
+      echo "$stem failed on repeat $run of $times" >&2
+      exit 1
+    }
+  done
+}
+
 echo "==> cargo fmt --check"
 cargo fmt --all --check
 
@@ -144,46 +169,24 @@ cargo test -q -p wave-index --test crash_recovery --offline \
 # leak-free shutdown — is the `chaos` suite below.
 echo "==> degraded serving under recovery"
 cargo test -q -p wave-index --test degraded_serving --offline
-# Its harness is paced by reader progress, so it must pass every time:
-# a failure in 50 back-to-back runs is a bug, not bad luck.
+# Its harness is paced by reader progress, so it must pass every time.
 echo "==> degraded serving, 50 repeats"
-degraded=$(cargo test -q -p wave-index --test degraded_serving --offline \
-  --no-run --message-format=json 2>/dev/null \
-  | sed -n 's/.*"executable":"\([^"]*degraded_serving[^"]*\)".*/\1/p' | tail -n 1)
-if [ -z "$degraded" ]; then
-  echo "degraded_serving: test binary not found" >&2
-  exit 1
-fi
-for run in $(seq 1 50); do
-  "$degraded" -q > target/degraded_serving.out 2>&1 || {
-    cat target/degraded_serving.out >&2
-    echo "degraded_serving failed on repeat $run of 50" >&2
-    exit 1
-  }
-done
+repeat_test_binary 50 degraded_serving -p wave-index --test degraded_serving
 # The server's own unit tests — failed builds that change no route,
 # the breaker state machine, retry and quarantine, settle balance —
 # named so a filter can never skip them.
 echo "==> server unit tests"
 cargo test -q -p wave-index --lib --offline server::tests
-# The wave-bench lib tests hold the chaos soak, whose injector is
-# paced by reader progress, so they too must pass every time: a
-# failure in 20 back-to-back runs is a bug, not bad luck.
+# The wave-bench lib tests hold the chaos soak, whose injector and
+# maintenance are paced by reader progress, and the `obs` smoke suite,
+# whose overhead bound reads the median-ratio pair; both must pass
+# every time.
 echo "==> wave-bench lib tests, 20 repeats"
-bench_lib=$(cargo test -q -p wave-bench --lib --offline \
-  --no-run --message-format=json 2>/dev/null \
-  | sed -n 's/.*"executable":"\([^"]*wave_bench-[^"]*\)".*/\1/p' | tail -n 1)
-if [ -z "$bench_lib" ]; then
-  echo "wave-bench: lib test binary not found" >&2
-  exit 1
-fi
-for run in $(seq 1 20); do
-  "$bench_lib" -q > target/wave_bench_lib.out 2>&1 || {
-    cat target/wave_bench_lib.out >&2
-    echo "wave-bench lib tests failed on repeat $run of 20" >&2
-    exit 1
-  }
-done
+repeat_test_binary 20 wave_bench -p wave-bench --lib
+# The wavectl lib tests run every suite's smoke preset, `obs`
+# included, through the CLI.
+echo "==> wavectl lib tests, 20 repeats"
+repeat_test_binary 20 wavectl -p wavectl --lib
 
 # Every evaluation suite at its CI-sized preset. Each states a bound
 # and a violated one fails the run after printing its table, so a red

@@ -26,11 +26,16 @@
 //! The event *schedule* is seeded and deterministic; thread
 //! interleaving is not, so the invariants are written to hold under
 //! every interleaving (the counts in the report are descriptive, not
-//! golden). The chaos thread is paced by reader progress, not by the
-//! OS scheduler: with `m` = reader requests / (events + 1), event `k`
-//! fires only once the readers have completed `k * m` requests in
-//! total, so faults overlap reads while clean stretches of at least
-//! `m` requests come before and between them under any host load.
+//! golden). The chaos and maintenance threads are paced by reader
+//! progress, not by the OS scheduler: with `m` = reader requests /
+//! (events + 1), event `k` fires only once the readers have completed
+//! `k * m` requests in total, so faults overlap reads while clean
+//! stretches of at least `m` requests come before and between them
+//! under any host load; maintenance round `r` likewise starts only
+//! once `r` × reader requests / (rounds + 1) have completed. Both are
+//! lower bounds: the readers wait for neither thread, so readers that
+//! finish first leave the remaining rounds and events to run after
+//! them, back to back.
 //! `wavectl bench chaos [--smoke]` drives this and prints the
 //! per-scheme report.
 //!
@@ -166,6 +171,35 @@ pub struct ChaosReport {
     pub breaker_trips: u64,
     /// Transient read errors absorbed by retry.
     pub read_retries: u64,
+}
+
+/// Reader outcomes so far, shared with the threads that pace on them.
+#[derive(Default)]
+struct Progress {
+    ok: AtomicU64,
+    partial: AtomicU64,
+    errors: AtomicU64,
+}
+
+impl Progress {
+    /// Requests the readers have resolved so far.
+    fn completed(&self) -> u64 {
+        self.ok.load(Ordering::Relaxed)
+            + self.partial.load(Ordering::Relaxed)
+            + self.errors.load(Ordering::Relaxed)
+    }
+
+    /// Waits until the readers have resolved `target` requests;
+    /// `false` if `stop` was raised first.
+    fn wait_for(&self, target: u64, stop: &AtomicBool) -> bool {
+        while self.completed() < target {
+            if stop.load(Ordering::Relaxed) {
+                return false;
+            }
+            std::thread::sleep(Duration::from_micros(200));
+        }
+        true
+    }
 }
 
 /// Per-generation oracle: for every query, the answer each slot
@@ -387,10 +421,9 @@ fn run_scheme(kind: SchemeKind, soak: &ChaosSoak) -> ChaosReport {
         .install_wave(gen_a.clone())
         .expect("chaos install succeeds");
 
-    let ok = Arc::new(AtomicU64::new(0));
-    let partial = Arc::new(AtomicU64::new(0));
-    let errors = Arc::new(AtomicU64::new(0));
+    let progress = Arc::new(Progress::default());
     let stop = Arc::new(AtomicBool::new(false));
+    let requests = (soak.readers * soak.queries_per_reader) as u64;
 
     // Readers: replay the query list, checking every completed answer.
     let readers: Vec<_> = (0..soak.readers)
@@ -400,8 +433,7 @@ fn run_scheme(kind: SchemeKind, soak: &ChaosSoak) -> ChaosReport {
             let oracle_a = Arc::clone(&oracle_a);
             let oracle_b = Arc::clone(&oracle_b);
             let day_slot = Arc::clone(&day_slot);
-            let (ok, partial, errors) =
-                (Arc::clone(&ok), Arc::clone(&partial), Arc::clone(&errors));
+            let progress = Arc::clone(&progress);
             let n = soak.queries_per_reader;
             let scheme = kind.name();
             std::thread::spawn(move || {
@@ -454,15 +486,15 @@ fn run_scheme(kind: SchemeKind, soak: &ChaosSoak) -> ChaosReport {
                                 &ctx,
                             );
                             if p.is_some() {
-                                partial.fetch_add(1, Ordering::Relaxed);
+                                progress.partial.fetch_add(1, Ordering::Relaxed);
                             } else {
-                                ok.fetch_add(1, Ordering::Relaxed);
+                                progress.ok.fetch_add(1, Ordering::Relaxed);
                             }
                         }
                         // Typed errors are an allowed resolution; the
                         // request did not hang and did not lie.
                         Err(_) => {
-                            errors.fetch_add(1, Ordering::Relaxed);
+                            progress.errors.fetch_add(1, Ordering::Relaxed);
                         }
                     }
                 }
@@ -471,17 +503,24 @@ fn run_scheme(kind: SchemeKind, soak: &ChaosSoak) -> ChaosReport {
         .collect();
 
     // Maintenance: commit epochs, alternating each slot's content
-    // between the two generations.
+    // between the two generations, paced by reader progress (module
+    // docs).
     let maintenance = {
         let server = Arc::clone(&server);
+        let stop = Arc::clone(&stop);
+        let progress = Arc::clone(&progress);
         let gen_a = gen_a.clone();
         let gen_b = gen_b.clone();
         let rounds = soak.maintain_rounds;
+        let per_round = (requests / (rounds as u64 + 1)).max(1);
         std::thread::spawn(move || {
             let mut flipped = vec![false; gen_a.len()];
             let mut ok = 0u64;
             let mut err = 0u64;
             for round in 0..rounds {
+                if !progress.wait_for(round as u64 * per_round, &stop) {
+                    break;
+                }
                 let slot = round % gen_a.len();
                 let next = if flipped[slot] { &gen_a } else { &gen_b };
                 match server.maintain(slot, next[slot].clone()) {
@@ -491,7 +530,6 @@ fn run_scheme(kind: SchemeKind, soak: &ChaosSoak) -> ChaosReport {
                     }
                     Err(_) => err += 1,
                 }
-                std::thread::yield_now();
             }
             (ok, err)
         })
@@ -502,26 +540,18 @@ fn run_scheme(kind: SchemeKind, soak: &ChaosSoak) -> ChaosReport {
     let chaos = {
         let server = Arc::clone(&server);
         let stop = Arc::clone(&stop);
-        let (ok, partial, errors) = (Arc::clone(&ok), Arc::clone(&partial), Arc::clone(&errors));
+        let progress = Arc::clone(&progress);
         let events = soak.chaos_events as u64;
-        let per_event = ((soak.readers * soak.queries_per_reader) as u64 / (events + 1)).max(1);
+        let per_event = (requests / (events + 1)).max(1);
         let arms = soak.arms;
         let seed = soak.seed ^ (kind as u64) << 8;
         std::thread::spawn(move || {
-            let completed = || {
-                ok.load(Ordering::Relaxed)
-                    + partial.load(Ordering::Relaxed)
-                    + errors.load(Ordering::Relaxed)
-            };
             let mut rng = SplitMix64::new(seed ^ 0xBADCAB);
             let mut bursts = 0u64;
             let mut quarantines = 0u64;
-            'events: for k in 1..=events {
-                while completed() < k * per_event {
-                    if stop.load(Ordering::Relaxed) {
-                        break 'events;
-                    }
-                    std::thread::sleep(Duration::from_micros(200));
+            for k in 1..=events {
+                if !progress.wait_for(k * per_event, &stop) {
+                    break;
                 }
                 let arm = rng.range_u64(0, arms as u64 - 1) as usize;
                 match rng.range_u64(0, 4) {
@@ -562,7 +592,11 @@ fn run_scheme(kind: SchemeKind, soak: &ChaosSoak) -> ChaosReport {
     };
 
     for r in readers {
-        r.join().expect("reader panicked: invariant violated");
+        if r.join().is_err() {
+            // Release the pacing waits, which would never be met.
+            stop.store(true, Ordering::Relaxed);
+            panic!("reader panicked: invariant violated");
+        }
     }
     let (maintains_ok, maintains_err) = maintenance.join().expect("maintenance panicked");
     stop.store(true, Ordering::Relaxed);
@@ -630,9 +664,9 @@ fn run_scheme(kind: SchemeKind, soak: &ChaosSoak) -> ChaosReport {
     let report = ChaosReport {
         scheme: kind.name(),
         slots,
-        ok: ok.load(Ordering::Relaxed),
-        partial: partial.load(Ordering::Relaxed),
-        errors: errors.load(Ordering::Relaxed),
+        ok: progress.ok.load(Ordering::Relaxed),
+        partial: progress.partial.load(Ordering::Relaxed),
+        errors: progress.errors.load(Ordering::Relaxed),
         maintains_ok,
         maintains_err,
         bursts,

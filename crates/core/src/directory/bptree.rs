@@ -2,7 +2,7 @@
 //!
 //! The paper's directory is "a search structure (e.g., a B+Tree or a
 //! hash table) that given a search value identifies a bucket". This is
-//! the B+Tree variant: all values live in the leaves, internal nodes
+//! the B+Tree it uses: all values live in the leaves, internal nodes
 //! hold separator keys only, and leaves can be walked in key order —
 //! which is what lets a packed [`crate::index::ConstituentIndex`] lay
 //! its buckets out contiguously in value order.

@@ -1,19 +1,18 @@
 //! The in-memory directory of a constituent index.
 //!
 //! Per Section 2 of the paper the directory lives in memory and maps a
-//! search value to its bucket on disk. Two interchangeable search
-//! structures are provided — a [B+Tree](bptree) and a [hash
-//! table](hash) — selected by [`DirectoryKind`].
+//! search value to its bucket on disk. The search structure is a
+//! [B+Tree](bptree): a point lookup descends one root-to-leaf path,
+//! and the ascending iteration that lays out a packed index walks the
+//! linked leaves with no sort.
 
 pub mod bptree;
-pub mod hash;
 
 use wave_storage::Extent;
 
 use crate::record::SearchValue;
 
 pub use bptree::BPlusTree;
-pub use hash::HashTable;
 
 /// Where a value's bucket lives and how full it is.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -39,74 +38,38 @@ impl BucketRef {
     }
 }
 
-/// Which search structure backs the directory.
+/// Which search structure backs the directory. The B+Tree is the only
+/// one; the type stays so that configurations can name it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum DirectoryKind {
     /// Ordered B+Tree: ordered iteration is free.
     #[default]
     BTree,
-    /// Chaining hash table: O(1) point lookups, sorted iteration pays
-    /// a collect-and-sort.
-    Hash,
 }
 
-/// A directory: search value → bucket reference.
+/// A directory: search value → bucket reference, in a B+Tree.
 #[derive(Debug, Clone)]
-pub enum Directory {
-    /// B+Tree-backed directory.
-    BTree(BPlusTree<SearchValue, BucketRef>),
-    /// Hash-table-backed directory.
-    Hash(HashTable<SearchValue, BucketRef>),
-}
+pub struct Directory(BPlusTree<SearchValue, BucketRef>);
 
 impl Directory {
-    /// Creates an empty directory of the given kind.
-    pub fn new(kind: DirectoryKind) -> Self {
-        match kind {
-            DirectoryKind::BTree => Directory::BTree(BPlusTree::new()),
-            DirectoryKind::Hash => Directory::Hash(HashTable::new()),
-        }
+    /// Creates an empty directory.
+    pub fn new(_kind: DirectoryKind) -> Self {
+        Directory(BPlusTree::new())
     }
 
-    /// Builds a directory of the given kind from strictly ascending
-    /// `(value, bucket)` pairs in one bottom-up pass.
-    ///
-    /// For the B+Tree this is [`BPlusTree::from_sorted`] — leaves
-    /// assembled at full occupancy instead of `n` top-down inserts.
-    /// The hash table has no useful order to exploit, so it falls
-    /// back to insertion.
+    /// Builds a directory from strictly ascending `(value, bucket)`
+    /// pairs in one bottom-up pass ([`BPlusTree::from_sorted`]: leaves
+    /// assembled at full occupancy instead of `n` top-down inserts).
     ///
     /// # Panics
     /// Panics if the values are not strictly ascending.
-    pub fn from_sorted(kind: DirectoryKind, pairs: Vec<(SearchValue, BucketRef)>) -> Self {
-        match kind {
-            DirectoryKind::BTree => {
-                Directory::BTree(BPlusTree::from_sorted(pairs, bptree::DEFAULT_ORDER))
-            }
-            DirectoryKind::Hash => {
-                let mut t = HashTable::new();
-                for (v, b) in pairs {
-                    t.insert(v, b);
-                }
-                Directory::Hash(t)
-            }
-        }
-    }
-
-    /// The kind of this directory.
-    pub fn kind(&self) -> DirectoryKind {
-        match self {
-            Directory::BTree(_) => DirectoryKind::BTree,
-            Directory::Hash(_) => DirectoryKind::Hash,
-        }
+    pub fn from_sorted(_kind: DirectoryKind, pairs: Vec<(SearchValue, BucketRef)>) -> Self {
+        Directory(BPlusTree::from_sorted(pairs, bptree::DEFAULT_ORDER))
     }
 
     /// Number of distinct search values.
     pub fn len(&self) -> usize {
-        match self {
-            Directory::BTree(t) => t.len(),
-            Directory::Hash(t) => t.len(),
-        }
+        self.0.len()
     }
 
     /// Whether no values are indexed.
@@ -116,58 +79,34 @@ impl Directory {
 
     /// Looks up the bucket for `value`.
     pub fn get(&self, value: &SearchValue) -> Option<&BucketRef> {
-        match self {
-            Directory::BTree(t) => t.get(value),
-            Directory::Hash(t) => t.get(value),
-        }
+        self.0.get(value)
     }
 
     /// Looks up the bucket for `value`, also returning the probe
-    /// depth: nodes visited (B+Tree) or chain entries compared
-    /// (hash). Feeds the `dir.probe_depth` histogram.
+    /// depth: the nodes visited on the root-to-leaf path. Feeds the
+    /// `dir.probe_depth` histogram.
     pub fn get_with_depth(&self, value: &SearchValue) -> (Option<&BucketRef>, usize) {
-        match self {
-            Directory::BTree(t) => t.get_with_depth(value),
-            Directory::Hash(t) => t.get_with_depth(value),
-        }
+        self.0.get_with_depth(value)
     }
 
     /// Looks up the bucket for `value` mutably.
     pub fn get_mut(&mut self, value: &SearchValue) -> Option<&mut BucketRef> {
-        match self {
-            Directory::BTree(t) => t.get_mut(value),
-            Directory::Hash(t) => t.get_mut(value),
-        }
+        self.0.get_mut(value)
     }
 
     /// Inserts or replaces the bucket for `value`.
     pub fn insert(&mut self, value: SearchValue, bucket: BucketRef) -> Option<BucketRef> {
-        match self {
-            Directory::BTree(t) => t.insert(value, bucket),
-            Directory::Hash(t) => t.insert(value, bucket),
-        }
+        self.0.insert(value, bucket)
     }
 
     /// Removes the bucket for `value`.
     pub fn remove(&mut self, value: &SearchValue) -> Option<BucketRef> {
-        match self {
-            Directory::BTree(t) => t.remove(value),
-            Directory::Hash(t) => t.remove(value),
-        }
+        self.0.remove(value)
     }
 
     /// Iterates `(value, bucket)` pairs in ascending value order.
-    pub fn iter_ordered(&self) -> Box<dyn Iterator<Item = (&SearchValue, &BucketRef)> + '_> {
-        match self {
-            Directory::BTree(t) => Box::new(t.iter()),
-            Directory::Hash(t) => Box::new(t.iter_sorted()),
-        }
-    }
-
-    /// Collects the values in ascending order (used when rewriting a
-    /// directory while relocating buckets).
-    pub fn values_ordered(&self) -> Vec<SearchValue> {
-        self.iter_ordered().map(|(v, _)| v.clone()).collect()
+    pub fn iter_ordered(&self) -> bptree::Iter<'_, SearchValue, BucketRef> {
+        self.0.iter()
     }
 }
 
@@ -187,22 +126,19 @@ mod tests {
 
     #[test]
     fn both_kinds_behave_identically() {
-        for kind in [DirectoryKind::BTree, DirectoryKind::Hash] {
-            let mut d = Directory::new(kind);
-            assert_eq!(d.kind(), kind);
-            for i in [3u64, 1, 2] {
-                d.insert(SearchValue::from_u64(i), bucket(i as u32));
-            }
-            assert_eq!(d.len(), 3);
-            assert_eq!(d.get(&SearchValue::from_u64(2)).unwrap().count, 2);
-            let ordered: Vec<u32> = d.iter_ordered().map(|(_, b)| b.count).collect();
-            assert_eq!(ordered, vec![1, 2, 3], "kind {kind:?}");
-            d.get_mut(&SearchValue::from_u64(1)).unwrap().count = 10;
-            assert_eq!(d.get(&SearchValue::from_u64(1)).unwrap().count, 10);
-            assert_eq!(d.remove(&SearchValue::from_u64(3)).unwrap().count, 3);
-            assert_eq!(d.len(), 2);
-            assert!(d.get(&SearchValue::from_u64(3)).is_none());
+        let mut d = Directory::new(DirectoryKind::BTree);
+        for i in [3u64, 1, 2] {
+            d.insert(SearchValue::from_u64(i), bucket(i as u32));
         }
+        assert_eq!(d.len(), 3);
+        assert_eq!(d.get(&SearchValue::from_u64(2)).unwrap().count, 2);
+        let ordered: Vec<u32> = d.iter_ordered().map(|(_, b)| b.count).collect();
+        assert_eq!(ordered, vec![1, 2, 3]);
+        d.get_mut(&SearchValue::from_u64(1)).unwrap().count = 10;
+        assert_eq!(d.get(&SearchValue::from_u64(1)).unwrap().count, 10);
+        assert_eq!(d.remove(&SearchValue::from_u64(3)).unwrap().count, 3);
+        assert_eq!(d.len(), 2);
+        assert!(d.get(&SearchValue::from_u64(3)).is_none());
     }
 
     #[test]
@@ -210,22 +146,19 @@ mod tests {
         let pairs: Vec<(SearchValue, BucketRef)> = (0..100u64)
             .map(|i| (SearchValue::from_u64(i * 7), bucket(i as u32)))
             .collect();
-        for kind in [DirectoryKind::BTree, DirectoryKind::Hash] {
-            let bulk = Directory::from_sorted(kind, pairs.clone());
-            assert_eq!(bulk.kind(), kind);
-            assert_eq!(bulk.len(), 100);
-            let mut inserted = Directory::new(kind);
-            for (v, b) in pairs.clone() {
-                inserted.insert(v, b);
-            }
-            let a: Vec<(SearchValue, BucketRef)> =
-                bulk.iter_ordered().map(|(v, b)| (v.clone(), *b)).collect();
-            let b: Vec<(SearchValue, BucketRef)> = inserted
-                .iter_ordered()
-                .map(|(v, b)| (v.clone(), *b))
-                .collect();
-            assert_eq!(a, b, "kind {kind:?}");
+        let bulk = Directory::from_sorted(DirectoryKind::BTree, pairs.clone());
+        assert_eq!(bulk.len(), 100);
+        let mut inserted = Directory::new(DirectoryKind::BTree);
+        for (v, b) in pairs.clone() {
+            inserted.insert(v, b);
         }
+        let a: Vec<(SearchValue, BucketRef)> =
+            bulk.iter_ordered().map(|(v, b)| (v.clone(), *b)).collect();
+        let b: Vec<(SearchValue, BucketRef)> = inserted
+            .iter_ordered()
+            .map(|(v, b)| (v.clone(), *b))
+            .collect();
+        assert_eq!(a, b);
     }
 
     #[test]

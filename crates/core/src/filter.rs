@@ -37,7 +37,7 @@
 //! line (here: single-`u64`) probes.
 
 use wave_obs::SplitMix64;
-use wave_storage::{crc64, split_trailer, Crc64};
+use wave_storage::Crc64;
 
 use crate::error::{IndexError, IndexResult};
 use crate::record::SearchValue;
@@ -236,20 +236,10 @@ impl MembershipFilter {
         out
     }
 
-    /// Decodes a `WVFL` sidecar, verifying the CRC-64 trailer. Errors
+    /// Decodes the body of a `WVFL` sidecar (everything before the
+    /// trailer) whose checksum the caller has already verified. Errors
     /// are [`IndexError::Corrupt`] — the recovery path treats any of
     /// them as "rebuild the sidecar from the constituent".
-    pub fn from_bytes(bytes: &[u8]) -> IndexResult<Self> {
-        let corrupt = |what: &str| IndexError::Corrupt(format!("filter sidecar: {what}"));
-        let (body, stored) = split_trailer(bytes).ok_or_else(|| corrupt("truncated"))?;
-        if crc64(body) != stored {
-            return Err(corrupt("checksum mismatch"));
-        }
-        Self::from_body(body)
-    }
-
-    /// Decodes the body of a `WVFL` sidecar (everything before the
-    /// trailer) whose checksum the caller has already verified.
     pub(crate) fn from_body(body: &[u8]) -> IndexResult<Self> {
         let corrupt = |what: &str| IndexError::Corrupt(format!("filter sidecar: {what}"));
         let header = 4 + 2 + 8 + 8 + 8 + 4;
@@ -358,6 +348,17 @@ mod tests {
         assert!(f.is_saturated());
     }
 
+    /// What the loader does with a sidecar: check the CRC-64 trailer,
+    /// then decode the verified body.
+    fn decode(bytes: &[u8]) -> IndexResult<MembershipFilter> {
+        let (body, stored) = wave_storage::split_trailer(bytes)
+            .ok_or_else(|| IndexError::Corrupt("truncated".into()))?;
+        if wave_storage::crc64(body) != stored {
+            return Err(IndexError::Corrupt("checksum mismatch".into()));
+        }
+        MembershipFilter::from_body(body)
+    }
+
     #[test]
     fn sidecar_roundtrips() {
         let mut f = MembershipFilter::with_capacity(FilterConfig::default(), 300);
@@ -365,7 +366,7 @@ mod tests {
             f.insert(&value(i * 7));
         }
         let bytes = f.to_bytes();
-        let back = MembershipFilter::from_bytes(&bytes).unwrap();
+        let back = decode(&bytes).unwrap();
         assert_eq!(back, f);
     }
 
@@ -378,12 +379,12 @@ mod tests {
         );
         let good = f.to_bytes();
         // Truncation.
-        assert!(MembershipFilter::from_bytes(&good[..10]).is_err());
+        assert!(decode(&good[..10]).is_err());
         // Bit flip anywhere fails the CRC.
         for at in [0, 5, good.len() / 2, good.len() - 1] {
             let mut bad = good.clone();
             bad[at] ^= 0x40;
-            assert!(MembershipFilter::from_bytes(&bad).is_err(), "flip at {at}");
+            assert!(decode(&bad).is_err(), "flip at {at}");
         }
     }
 }

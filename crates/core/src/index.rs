@@ -1804,24 +1804,6 @@ mod tests {
         idx.release(&mut vol).unwrap();
     }
 
-    #[test]
-    fn hash_directory_variant_matches() {
-        let mut vol = Volume::default();
-        let hash_cfg = IndexConfig {
-            directory: DirectoryKind::Hash,
-            ..Default::default()
-        };
-        let b1 = batch(1, &[(1, &["x", "y"]), (2, &["x"])]);
-        let idx = ConstituentIndex::build_packed("I", hash_cfg, &mut vol, &[&b1]).unwrap();
-        assert_eq!(
-            idx.probe(&mut vol, &SearchValue::from("x")).unwrap().len(),
-            2
-        );
-        assert_eq!(idx.scan(&mut vol).unwrap().len(), 3);
-        idx.check_consistency(&mut vol).unwrap();
-        idx.release(&mut vol).unwrap();
-    }
-
     /// The durable marker is what lets `commit_wave` skip a
     /// constituent, so every `&mut self` method must drop it — also
     /// the ones only the loaders call, which no commit-level

@@ -31,7 +31,7 @@
 
 use std::collections::{BTreeMap, BTreeSet};
 
-use wave_storage::{crc64, split_trailer, Crc64};
+use wave_storage::Crc64;
 
 use crate::entry::{Entry, ENTRY_BYTES};
 use crate::error::{IndexError, IndexResult};
@@ -280,23 +280,10 @@ impl IngestBuffer {
         4 + 2 + 4 + self.deletes.len() * 4 + 4 + self.pending_days.len() * 4 + 4 + values + 8
     }
 
-    /// Decodes a `WING` sidecar log, verifying the CRC64 trailer.
-    /// Returns the delete days, the buffer-only days, and the pending
-    /// add map for `ConstituentIndex::replay_ingest`.
-    #[allow(clippy::type_complexity)]
-    pub fn decode_log(
-        bytes: &[u8],
-    ) -> IndexResult<(Vec<Day>, Vec<Day>, BTreeMap<SearchValue, Vec<Entry>>)> {
-        let corrupt = |what: &str| IndexError::Corrupt(format!("ingest log: {what}"));
-        let (body, stored) = split_trailer(bytes).ok_or_else(|| corrupt("truncated"))?;
-        if crc64(body) != stored {
-            return Err(corrupt("checksum mismatch"));
-        }
-        Self::decode_log_body(body)
-    }
-
     /// Decodes the body of a `WING` log (everything before the
     /// trailer) whose checksum the caller has already verified.
+    /// Returns the delete days, the buffer-only days, and the pending
+    /// add map for `ConstituentIndex::replay_ingest`.
     #[allow(clippy::type_complexity)]
     pub(crate) fn decode_log_body(
         body: &[u8],
@@ -432,6 +419,20 @@ mod tests {
         );
     }
 
+    /// What the loader does with a log: check the CRC64 trailer, then
+    /// decode the verified body.
+    #[allow(clippy::type_complexity)]
+    fn decode_log(
+        bytes: &[u8],
+    ) -> IndexResult<(Vec<Day>, Vec<Day>, BTreeMap<SearchValue, Vec<Entry>>)> {
+        let (body, stored) = wave_storage::split_trailer(bytes)
+            .ok_or_else(|| IndexError::Corrupt("truncated".into()))?;
+        if wave_storage::crc64(body) != stored {
+            return Err(IndexError::Corrupt("checksum mismatch".into()));
+        }
+        IngestBuffer::decode_log_body(body)
+    }
+
     #[test]
     fn log_roundtrips() {
         let mut buf = IngestBuffer::default();
@@ -442,7 +443,7 @@ mod tests {
         buf.push_adds(&SearchValue::from("tea"), &[entry(9, 9)]);
         let bytes = buf.to_bytes();
         assert_eq!(bytes.len(), buf.encoded_len());
-        let (deletes, pending_days, adds) = IngestBuffer::decode_log(&bytes).unwrap();
+        let (deletes, pending_days, adds) = decode_log(&bytes).unwrap();
         assert_eq!(deletes, vec![Day(1), Day(2)]);
         assert_eq!(pending_days, vec![Day(9)]);
         assert_eq!(adds.len(), 2);
@@ -459,11 +460,11 @@ mod tests {
         buf.note_pending_day(Day(1));
         buf.push_adds(&SearchValue::from("x"), &[entry(1, 1)]);
         let good = buf.to_bytes();
-        assert!(IngestBuffer::decode_log(&good[..8]).is_err());
+        assert!(decode_log(&good[..8]).is_err());
         for at in [0, 5, good.len() / 2, good.len() - 1] {
             let mut bad = good.clone();
             bad[at] ^= 0x20;
-            assert!(IngestBuffer::decode_log(&bad).is_err(), "flip at {at}");
+            assert!(decode_log(&bad).is_err(), "flip at {at}");
         }
     }
 }

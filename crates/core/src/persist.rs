@@ -11,10 +11,12 @@
 //!
 //! # On-disk format (WVIX v2)
 //!
-//! An image is the v1 layout — magic, version, label, time-set,
-//! value→entries map — followed by an 8-byte little-endian CRC64
-//! trailer over everything before it. v1 images (no trailer) still
-//! load; their [`ImageInfo::verified`] provenance is `false`.
+//! An image is magic (`WVIX`), version (2), label, time-set and the
+//! value→entries map, followed by an 8-byte little-endian CRC64
+//! trailer over everything before it. Version 2 is the only one
+//! written or read: any other version, the trailer-less version 1
+//! included, is refused with an [`IndexError::Corrupt`] that names it,
+//! so every image that loads has passed its trailer check.
 //!
 //! # Manifest and two-phase commit
 //!
@@ -50,19 +52,19 @@
 //! it when all of these hold:
 //!
 //! * the constituent's marker names it;
-//! * the previous manifest of *this* store is a `wave-manifest 2` and
-//!   lists the same `(name, length, checksum)` — a marker minted
-//!   against another store, or against a file that recovery has since
-//!   rebuilt, does not match and is ignored;
+//! * the previous manifest of *this* store lists the same
+//!   `(name, length, checksum)` — a marker minted against another
+//!   store, or against a file that recovery has since rebuilt, does
+//!   not match and is ignored;
 //! * the store's listing still holds the name.
 //!
 //! Anything else is encoded and written, so a full rewrite is simply
-//! the case where no marker matches — a freshly built wave, the first
-//! commit to a store, the first commit over a `wave-manifest 1`. There
-//! is one phase-1 loop and nothing selects between two modes. A
-//! carried file keeps its name, so it may outlive the epoch in its
-//! suffix and, if the wave's slots rotate, serve another slot: the
-//! names are unique labels, and nothing parses them. Garbage
+//! the case where no marker matches — a freshly built wave, or the
+//! first commit to a store. There is one phase-1 loop and nothing
+//! selects between two modes. A carried file keeps its name, so it may
+//! outlive the epoch in its suffix and, if the wave's slots rotate,
+//! serve another slot: the names are unique labels, and nothing parses
+//! them. Garbage
 //! collection still removes exactly what the new manifest does not
 //! reference. Debug builds re-encode every carried file inside
 //! [`commit_wave`] and fail the commit with [`IndexError::Corrupt`] if
@@ -71,20 +73,23 @@
 //!
 //! ## What the per-file checksum is
 //!
-//! Every image, `.filt` and `.ing` ends in its own CRC-64/XZ trailer.
-//! A `wave-manifest 1` recorded the CRC of the *whole* file — trailer
-//! included — and the CRC of any message followed by its own CRC is a
+//! Every image, `.filt` and `.ing` ends in its own CRC-64/XZ trailer,
+//! and the manifest records each file's *trailer value*, the CRC of
+//! its body, which identifies content. Verification is one pass per
+//! file — `crc64(body) == trailer == manifest value` — after which
+//! the decoder parses the verified body without checksumming it again.
+//!
+//! The manifest header is `wave-manifest 2`; any other version is
+//! refused with an [`IndexError::Corrupt`] that names it, so
+//! [`load_committed`] fails, [`fsck`] reports the manifest not ok,
+//! and [`crate::recovery::recover`] quarantines it and deletes
+//! nothing. Version 1 recorded the CRC of the *whole* file, trailer
+//! included, and the CRC of any message followed by its own CRC is a
 //! constant of the polynomial (`b66a73654282cac0`), the same for every
 //! file ever written: that checksum detected nothing the trailer did
 //! not, and a stale or swapped file of the right name, length and
-//! label passed [`load_committed`] and [`fsck`]. A `wave-manifest 2`
-//! records the file's *trailer value*, the CRC of its body, which does
-//! identify content. Verification is one pass per file —
-//! `crc64(body) == trailer == manifest value` —
-//! after which the decoder parses the verified body without
-//! checksumming it again. `wave-manifest 1` stores still load and
-//! fsck clean under their whole-file semantics, are never reused
-//! from, and become `wave-manifest 2` at their first commit.
+//! label passed both the loader and [`fsck`]. That is why version 2
+//! replaced it, and nothing has written version 1 since.
 //!
 //! # Filter sidecars
 //!
@@ -123,29 +128,14 @@ use crate::record::{Day, SearchValue};
 use crate::wave::WaveIndex;
 
 const MAGIC: &[u8; 4] = b"WVIX";
-/// Current image version (checksummed).
+/// Image version: the only one written or read.
 pub const VERSION: u16 = 2;
-/// Legacy checksum-less image version, still readable.
-pub const VERSION_V1: u16 = 1;
 /// Name of the committed-wave manifest file.
 pub const MANIFEST_NAME: &str = "MANIFEST";
-/// Current manifest version: per-file checksums are trailer values.
+/// Manifest version: the only one written or read.
 pub const MANIFEST_VERSION: u32 = 2;
-/// Legacy manifest version (per-file checksums are whole-file CRCs),
-/// still readable; the first commit over it rewrites every file.
-pub const MANIFEST_VERSION_V1: u32 = 1;
 /// Suffix recovery gives quarantined (corrupt but preserved) files.
 pub const QUARANTINE_SUFFIX: &str = ".quar";
-
-/// Provenance of a decoded image.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ImageInfo {
-    /// Format version the image was written with.
-    pub version: u16,
-    /// Whether the bytes were covered by a verified checksum. `false`
-    /// for v1 images, which predate the CRC64 trailer.
-    pub verified: bool,
-}
 
 /// Serialises an index's logical contents (label, time-set, buckets)
 /// as a WVIX v2 image with a CRC64 trailer.
@@ -177,64 +167,42 @@ pub fn index_to_bytes(idx: &ConstituentIndex, vol: &mut Volume) -> IndexResult<V
     Ok(out)
 }
 
-/// Validates an image's magic and returns its format version.
-fn image_version(bytes: &[u8]) -> IndexResult<u16> {
+/// Validates an image's magic and version: any version but
+/// [`VERSION`] is refused, naming the version it found.
+fn check_header(bytes: &[u8]) -> IndexResult<()> {
     match bytes.get(..6).and_then(|h| h.split_first_chunk::<4>()) {
-        Some((magic, &[lo, hi])) if magic == MAGIC => Ok(u16::from_le_bytes([lo, hi])),
+        Some((magic, &[lo, hi])) if magic == MAGIC => match u16::from_le_bytes([lo, hi]) {
+            VERSION => Ok(()),
+            other => Err(IndexError::Corrupt(format!(
+                "unsupported persistence version {other}"
+            ))),
+        },
         _ => Err(IndexError::Corrupt("bad persistence magic".into())),
     }
 }
 
-/// Rebuilds a (packed) index from a serialised image, reporting its
-/// format version and whether a checksum verified the bytes.
-pub fn decode_index(
-    cfg: IndexConfig,
-    vol: &mut Volume,
-    bytes: &[u8],
-) -> IndexResult<(ConstituentIndex, ImageInfo)> {
-    let version = image_version(bytes)?;
-    let body = match version {
-        VERSION_V1 => bytes,
-        VERSION => {
-            let (body, expected) = split_trailer(bytes)
-                .ok_or_else(|| IndexError::Corrupt("v2 image too short for trailer".into()))?;
-            let got = crc64(body);
-            if got != expected {
-                return Err(IndexError::ChecksumMismatch {
-                    what: "index image".into(),
-                    expected,
-                    got,
-                });
-            }
-            body
-        }
-        other => {
-            return Err(IndexError::Corrupt(format!(
-                "unsupported persistence version {other}"
-            )))
-        }
-    };
-    let idx = decode_body(cfg, vol, body)?;
-    Ok((
-        idx,
-        ImageInfo {
-            version,
-            verified: version == VERSION,
-        },
-    ))
-}
-
-/// Rebuilds a (packed) index from a serialised image.
+/// Rebuilds a (packed) index from a serialised image, verifying its
+/// CRC64 trailer.
 pub fn index_from_bytes(
     cfg: IndexConfig,
     vol: &mut Volume,
     bytes: &[u8],
 ) -> IndexResult<ConstituentIndex> {
-    decode_index(cfg, vol, bytes).map(|(idx, _)| idx)
+    check_header(bytes)?;
+    let (body, expected) = split_trailer(bytes)
+        .ok_or_else(|| IndexError::Corrupt("image too short for trailer".into()))?;
+    let got = crc64(body);
+    if got != expected {
+        return Err(IndexError::ChecksumMismatch {
+            what: "index image".into(),
+            expected,
+            got,
+        });
+    }
+    decode_body(cfg, vol, body)
 }
 
-/// Parses the version-independent image body (after magic + version
-/// and before any trailer).
+/// Parses a verified image body (the image without its trailer).
 fn decode_body(cfg: IndexConfig, vol: &mut Volume, body: &[u8]) -> IndexResult<ConstituentIndex> {
     let mut r = Reader::new(body);
     r.take(6)?; // magic + version, validated by the caller
@@ -273,35 +241,58 @@ fn decode_body(cfg: IndexConfig, vol: &mut Volume, body: &[u8]) -> IndexResult<C
 }
 
 /// One durable file as a manifest names it: name, exact length and
-/// checksum. Under `wave-manifest 2` the checksum is the file's own
-/// CRC64 trailer — the CRC of its body — so equal triples mean equal
-/// bytes; under `wave-manifest 1` it was the CRC of the whole file.
+/// checksum. The checksum is the file's own CRC64 trailer — the CRC
+/// of its body — so equal triples mean equal bytes.
 #[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord)]
 pub struct FileRef {
     /// File name inside the store.
     pub file: String,
     /// Exact file length in bytes.
     pub len: u64,
-    /// The file's checksum (see the type docs for which one).
+    /// The file's CRC64 trailer.
     pub crc64: u64,
 }
 
 impl FileRef {
-    /// The reference a manifest of `version` records for `bytes`
-    /// stored as `file`.
-    pub(crate) fn of(version: u32, file: String, bytes: &[u8]) -> IndexResult<FileRef> {
-        let crc64 = if version == MANIFEST_VERSION_V1 {
-            crc64(bytes)
-        } else {
-            split_trailer(bytes)
-                .ok_or_else(|| IndexError::Corrupt(format!("{file}: no checksum trailer")))?
-                .1
-        };
+    /// The reference a manifest records for `bytes` stored as `file`.
+    pub(crate) fn of(file: String, bytes: &[u8]) -> IndexResult<FileRef> {
+        let (_, crc64) = split_trailer(bytes)
+            .ok_or_else(|| IndexError::Corrupt(format!("{file}: no checksum trailer")))?;
         Ok(FileRef {
             file,
             len: bytes.len() as u64,
             crc64,
         })
+    }
+
+    /// Checks `bytes`, read from this file, against the reference: the
+    /// exact length, then the checksum in a single CRC pass that
+    /// proves `crc64(body) == trailer == recorded value`. The verified
+    /// body is returned so the decoder need not checksum it again.
+    pub(crate) fn verify<'a>(&self, bytes: &'a [u8]) -> IndexResult<&'a [u8]> {
+        let file = &self.file;
+        if bytes.len() as u64 != self.len {
+            return Err(IndexError::Corrupt(format!(
+                "{file}: length {} != manifest {}",
+                bytes.len(),
+                self.len
+            )));
+        }
+        let mismatch = |got| IndexError::ChecksumMismatch {
+            what: file.clone(),
+            expected: self.crc64,
+            got,
+        };
+        let (body, stored) = split_trailer(bytes)
+            .ok_or_else(|| IndexError::Corrupt(format!("{file}: no checksum trailer")))?;
+        if stored != self.crc64 {
+            return Err(mismatch(stored));
+        }
+        let got = crc64(body);
+        if got != self.crc64 {
+            return Err(mismatch(got));
+        }
+        Ok(body)
     }
 }
 
@@ -378,16 +369,51 @@ impl ManifestEntry {
             .chain(self.filter.as_ref().map(|f| f.file.as_str()))
             .chain(self.ingest.as_ref().map(|l| l.file.as_str()))
     }
+
+    /// Verifies a fetched constituent image against the entry (length,
+    /// checksum, version, label) and decodes it.
+    pub(crate) fn decode_image(
+        &self,
+        cfg: IndexConfig,
+        vol: &mut Volume,
+        bytes: &[u8],
+    ) -> IndexResult<ConstituentIndex> {
+        let body = self.image().verify(bytes)?;
+        check_header(body)?;
+        let idx = decode_body(cfg, vol, body)?;
+        if idx.label() != self.label {
+            let msg = format!(
+                "{}: label {:?} != manifest {:?}",
+                self.file,
+                idx.label(),
+                self.label
+            );
+            idx.release(vol)?;
+            return Err(IndexError::Corrupt(msg));
+        }
+        Ok(idx)
+    }
+
+    /// Marks `idx` — just decoded from, or just committed as, this
+    /// entry's files — byte-identical to them. The filter sidecar
+    /// counts only when `idx` carries a filter (a filter-disabled
+    /// config loads the image without it).
+    pub(crate) fn mark_durable(&self, idx: &ConstituentIndex) {
+        idx.mark_durable(DurableFiles {
+            image: self.image(),
+            filter: self
+                .filter
+                .clone()
+                .filter(|_| idx.membership_filter().is_some()),
+            ingest: self.ingest.clone(),
+        });
+    }
 }
 
 /// The committed state of a wave index: which epoch is live, what it
 /// covers, and the exact file set (with checksums) forming it.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Manifest {
-    /// Format version: [`MANIFEST_VERSION`], or
-    /// [`MANIFEST_VERSION_V1`] for a store last committed before
-    /// per-file checksums identified content.
-    pub version: u32,
     /// Monotonic commit counter; each [`commit_wave`] bumps it.
     pub epoch: u64,
     /// `[oldest, newest]` days the wave covers (`None` if empty).
@@ -401,7 +427,7 @@ pub struct Manifest {
 impl Manifest {
     /// Serialises the manifest, ending with its own `crc` line.
     pub fn to_bytes(&self) -> Vec<u8> {
-        let mut text = format!("wave-manifest {}\n", self.version);
+        let mut text = format!("wave-manifest {MANIFEST_VERSION}\n");
         text.push_str(&format!("epoch {}\n", self.epoch));
         match self.window {
             Some((lo, hi)) => text.push_str(&format!("window {} {}\n", lo.0, hi.0)),
@@ -442,7 +468,9 @@ impl Manifest {
         out
     }
 
-    /// Parses and checksum-verifies a manifest.
+    /// Parses and checksum-verifies a manifest. A header naming any
+    /// version but [`MANIFEST_VERSION`] is refused with an error that
+    /// names it.
     pub fn from_bytes(bytes: &[u8]) -> IndexResult<Manifest> {
         // The crc line is fixed-width: "crc " + 16 hex digits + "\n".
         const CRC_LINE: usize = 4 + 16 + 1;
@@ -472,11 +500,11 @@ impl Manifest {
             .map_err(|_| IndexError::Corrupt("manifest is not UTF-8".into()))?;
         let corrupt = |msg: &str| IndexError::Corrupt(format!("manifest: {msg}"));
         let mut lines = text.lines();
-        let version = match lines.next() {
-            Some("wave-manifest 1") => MANIFEST_VERSION_V1,
-            Some("wave-manifest 2") => MANIFEST_VERSION,
-            _ => return Err(corrupt("bad header")),
-        };
+        match lines.next().and_then(|h| h.strip_prefix("wave-manifest ")) {
+            Some(v) if v == MANIFEST_VERSION.to_string() => {}
+            Some(v) => return Err(corrupt(&format!("unsupported version {v}"))),
+            None => return Err(corrupt("bad header")),
+        }
         let mut epoch = None;
         let mut window = None;
         let mut slots = None;
@@ -566,7 +594,6 @@ impl Manifest {
             }
         }
         let manifest = Manifest {
-            version,
             epoch: epoch.ok_or_else(|| corrupt("no epoch"))?,
             window: window.ok_or_else(|| corrupt("no window"))?,
             slots: slots.ok_or_else(|| corrupt("no slots"))?,
@@ -585,110 +612,6 @@ impl Manifest {
             }
         }
         Ok(manifest)
-    }
-
-    /// Checks `bytes`, read from `file`, against what this manifest
-    /// records for it: the exact length, then the checksum in a single
-    /// CRC pass. Under `wave-manifest 2` that pass proves
-    /// `crc64(body) == trailer == recorded value`, and the verified
-    /// body is returned so the decoder need not checksum it again.
-    /// Under `wave-manifest 1` the recorded value is the whole-file
-    /// CRC, which every trailer-checksummed file shares; `None` tells
-    /// the caller to use the self-verifying decoder.
-    pub(crate) fn verify<'a>(
-        &self,
-        file: &str,
-        len: u64,
-        expected: u64,
-        bytes: &'a [u8],
-    ) -> IndexResult<Option<&'a [u8]>> {
-        if bytes.len() as u64 != len {
-            return Err(IndexError::Corrupt(format!(
-                "{file}: length {} != manifest {len}",
-                bytes.len()
-            )));
-        }
-        let mismatch = |got| IndexError::ChecksumMismatch {
-            what: file.to_string(),
-            expected,
-            got,
-        };
-        if self.version == MANIFEST_VERSION_V1 {
-            let got = crc64(bytes);
-            return if got == expected {
-                Ok(None)
-            } else {
-                Err(mismatch(got))
-            };
-        }
-        let (body, stored) = split_trailer(bytes)
-            .ok_or_else(|| IndexError::Corrupt(format!("{file}: no checksum trailer")))?;
-        if stored != expected {
-            return Err(mismatch(stored));
-        }
-        let got = crc64(body);
-        if got != expected {
-            return Err(mismatch(got));
-        }
-        Ok(Some(body))
-    }
-
-    /// Verifies a fetched constituent image against its entry `e`
-    /// (length, checksum, label) and decodes it.
-    pub(crate) fn decode_image(
-        &self,
-        cfg: IndexConfig,
-        vol: &mut Volume,
-        e: &ManifestEntry,
-        bytes: &[u8],
-    ) -> IndexResult<(ConstituentIndex, ImageInfo)> {
-        let (idx, info) = match self.verify(&e.file, e.len, e.crc64, bytes)? {
-            Some(body) => {
-                let version = image_version(body)?;
-                if version != VERSION {
-                    return Err(IndexError::Corrupt(format!(
-                        "{}: image version {version} under a trailer-checksummed manifest",
-                        e.file
-                    )));
-                }
-                let verified = true;
-                (
-                    decode_body(cfg, vol, body)?,
-                    ImageInfo { version, verified },
-                )
-            }
-            None => decode_index(cfg, vol, bytes)?,
-        };
-        if idx.label() != e.label {
-            let msg = format!(
-                "{}: label {:?} != manifest {:?}",
-                e.file,
-                idx.label(),
-                e.label
-            );
-            idx.release(vol)?;
-            return Err(IndexError::Corrupt(msg));
-        }
-        Ok((idx, info))
-    }
-
-    /// Marks `idx` — just decoded from, or just committed as, entry
-    /// `e`'s files — byte-identical to them. The filter sidecar counts
-    /// only when `idx` carries a filter (a filter-disabled config loads
-    /// the image without it), and a `wave-manifest 1` marks nothing:
-    /// its checksums do not identify content and are never reused from.
-    pub(crate) fn mark_durable(&self, e: &ManifestEntry, idx: &ConstituentIndex) {
-        if self.version != MANIFEST_VERSION {
-            return;
-        }
-        idx.mark_durable(DurableFiles {
-            image: e.image(),
-            filter: e
-                .filter
-                .clone()
-                .filter(|_| idx.membership_filter().is_some()),
-            ingest: e.ingest.clone(),
-        });
     }
 
     /// How many constituent images this epoch's commit carried over
@@ -771,7 +694,7 @@ struct Phase1<'a> {
     store: &'a mut dyn IndexStore,
     retry: &'a RetryPolicy,
     retries: wave_obs::Counter,
-    /// Files the previous `wave-manifest 2` of this store references
+    /// Files the previous manifest of this store references
     /// and the store still lists — the only files a marker may reuse.
     reusable: BTreeSet<FileRef>,
     bytes_written: u64,
@@ -795,7 +718,7 @@ impl Phase1<'_> {
             // that commits twice also checks that no mutator forgot to
             // drop the marker.
             if cfg!(debug_assertions) {
-                let fresh = FileRef::of(MANIFEST_VERSION, kept.file.clone(), &encode()?)?;
+                let fresh = FileRef::of(kept.file.clone(), &encode()?)?;
                 if fresh != *kept {
                     return Err(IndexError::Corrupt(format!(
                         "{}: stale durable marker (holds {:016x}, index encodes {:016x})",
@@ -809,7 +732,7 @@ impl Phase1<'_> {
         self.retry
             .run(&self.retries, || self.store.put(&name, &bytes))?;
         self.bytes_written += bytes.len() as u64;
-        Ok((FileRef::of(MANIFEST_VERSION, name, &bytes)?, true))
+        Ok((FileRef::of(name, &bytes)?, true))
     }
 }
 
@@ -828,10 +751,9 @@ fn commit_wave_inner(
         Some(bytes) => Some(Manifest::from_bytes(&bytes)?),
     };
     let epoch = prev.as_ref().map_or(1, |m| m.epoch + 1);
-    // Only a `wave-manifest 2` checksum identifies content, and only a
-    // file still in the store can be referenced again.
+    // Only a file still in the store can be referenced again.
     let mut reusable = BTreeSet::new();
-    if let Some(prev) = prev.filter(|m| m.version == MANIFEST_VERSION) {
+    if let Some(prev) = prev {
         let present: BTreeSet<String> = retry.run(&retries, || store.list())?.into_iter().collect();
         reusable = prev
             .entries
@@ -910,7 +832,6 @@ fn commit_wave_inner(
     } = phase1;
     let covered = wave.covered_days();
     let manifest = Manifest {
-        version: MANIFEST_VERSION,
         epoch,
         window: covered
             .iter()
@@ -947,7 +868,7 @@ fn commit_wave_inner(
     // to the files its entry names.
     for e in &manifest.entries {
         if let Some(idx) = wave.slot(e.slot) {
-            manifest.mark_durable(e, idx);
+            e.mark_durable(idx);
         }
     }
 
@@ -974,20 +895,6 @@ fn commit_wave_inner(
     })
 }
 
-/// Provenance of one loaded wave slot.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct SlotProvenance {
-    /// Wave slot.
-    pub slot: usize,
-    /// Constituent label.
-    pub label: String,
-    /// Image format version on disk.
-    pub version: u16,
-    /// Whether checksums (manifest and image trailer) verified the
-    /// bytes end to end.
-    pub verified: bool,
-}
-
 /// A wave loaded from a committed store.
 #[derive(Debug)]
 pub struct LoadedWave {
@@ -995,8 +902,6 @@ pub struct LoadedWave {
     pub wave: WaveIndex,
     /// The manifest that defined it.
     pub manifest: Manifest,
-    /// Per-slot provenance, ascending by slot.
-    pub provenance: Vec<SlotProvenance>,
 }
 
 /// Loads the committed wave, verifying every checksum on the way. A
@@ -1012,18 +917,17 @@ pub fn load_committed(
         return Ok(None);
     };
     let mut wave = WaveIndex::with_slots(manifest.slots);
-    let mut provenance = Vec::new();
     let mut load = || -> IndexResult<()> {
         for e in &manifest.entries {
             let bytes = fetch(store, &e.file)?;
-            let (mut idx, info) = manifest.decode_image(cfg, vol, e, &bytes)?;
+            let mut idx = e.decode_image(cfg, vol, &bytes)?;
             // Replay the ingest log before installing the filter
             // sidecar: replay may rebuild the filter from metadata,
             // and the persisted sidecar (serialized from the logical
             // filter at commit) must win for fidelity.
             let sidecars = (|| -> IndexResult<()> {
                 if let Some(iref) = &e.ingest {
-                    let (deletes, pending_days, adds) = load_ingest_log(store, &manifest, iref)?;
+                    let (deletes, pending_days, adds) = load_ingest_log(store, iref)?;
                     idx.replay_ingest(vol, &deletes, &pending_days, adds);
                     vol.obs().counter("ingest.log_replays").inc();
                 }
@@ -1031,7 +935,7 @@ pub fn load_committed(
                     // The strict loader verifies every referenced byte,
                     // sidecars included; only recover() tolerates damage
                     // (by rebuilding the filter from the image).
-                    let f = load_filter_sidecar(store, &manifest, fref)?;
+                    let f = load_filter_sidecar(store, fref)?;
                     // Install only when this config runs filters: the
                     // sidecar may carry stale bits from in-place
                     // deletes that a fresh rebuild would not, and
@@ -1047,23 +951,13 @@ pub fn load_committed(
                 idx.release(vol)?;
                 return Err(err);
             }
-            manifest.mark_durable(e, &idx);
-            provenance.push(SlotProvenance {
-                slot: e.slot,
-                label: e.label.clone(),
-                version: info.version,
-                verified: info.verified,
-            });
+            e.mark_durable(&idx);
             wave.install(e.slot, idx);
         }
         Ok(())
     };
     match load() {
-        Ok(()) => Ok(Some(LoadedWave {
-            wave,
-            manifest,
-            provenance,
-        })),
+        Ok(()) => Ok(Some(LoadedWave { wave, manifest })),
         Err(e) => {
             // Release whatever was installed before the failure so the
             // caller's volume does not leak blocks.
@@ -1084,14 +978,10 @@ fn fetch(store: &mut dyn IndexStore, file: &str) -> IndexResult<Vec<u8>> {
 /// reference (exact length, checksum) while decoding it.
 pub(crate) fn load_filter_sidecar(
     store: &mut dyn IndexStore,
-    manifest: &Manifest,
     fref: &FilterRef,
 ) -> IndexResult<MembershipFilter> {
     let bytes = fetch(store, &fref.file)?;
-    match manifest.verify(&fref.file, fref.len, fref.crc64, &bytes)? {
-        Some(body) => MembershipFilter::from_body(body),
-        None => MembershipFilter::from_bytes(&bytes),
-    }
+    MembershipFilter::from_body(fref.verify(&bytes)?)
 }
 
 /// Fetches an ingest-log sidecar and verifies it against its manifest
@@ -1099,14 +989,10 @@ pub(crate) fn load_filter_sidecar(
 #[allow(clippy::type_complexity)]
 pub(crate) fn load_ingest_log(
     store: &mut dyn IndexStore,
-    manifest: &Manifest,
     iref: &IngestRef,
 ) -> IndexResult<(Vec<Day>, Vec<Day>, BTreeMap<SearchValue, Vec<Entry>>)> {
     let bytes = fetch(store, &iref.file)?;
-    match manifest.verify(&iref.file, iref.len, iref.crc64, &bytes)? {
-        Some(body) => crate::ingest::IngestBuffer::decode_log_body(body),
-        None => crate::ingest::IngestBuffer::decode_log(&bytes),
-    }
+    crate::ingest::IngestBuffer::decode_log_body(iref.verify(&bytes)?)
 }
 
 fn write_bytes(out: &mut Vec<u8>, bytes: &[u8]) {
@@ -1203,14 +1089,7 @@ mod tests {
         let mut vol = Volume::default();
         let idx = sample_index(&mut vol);
         let image = index_to_bytes(&idx, &mut vol).unwrap();
-        let (loaded, info) = decode_index(IndexConfig::default(), &mut vol, &image).unwrap();
-        assert_eq!(
-            info,
-            ImageInfo {
-                version: 2,
-                verified: true
-            }
-        );
+        let loaded = index_from_bytes(IndexConfig::default(), &mut vol, &image).unwrap();
         assert_eq!(loaded.label(), "I1");
         assert_eq!(loaded.days(), idx.days());
         assert_eq!(loaded.entry_count(), idx.entry_count());
@@ -1272,7 +1151,6 @@ mod tests {
     #[test]
     fn manifest_roundtrips_and_rejects_corruption() {
         let m = Manifest {
-            version: MANIFEST_VERSION,
             epoch: 7,
             window: Some((Day(3), Day(9))),
             slots: 4,
@@ -1321,7 +1199,6 @@ mod tests {
     #[test]
     fn empty_window_manifest_roundtrips() {
         let m = Manifest {
-            version: MANIFEST_VERSION_V1,
             epoch: 1,
             window: None,
             slots: 2,
@@ -1353,10 +1230,6 @@ mod tests {
         assert!(loaded.wave.slot(1).is_none());
         assert!(loaded.wave.slot(2).is_some());
         assert_eq!(loaded.wave.entry_count(), wave.entry_count());
-        assert!(loaded
-            .provenance
-            .iter()
-            .all(|p| p.verified && p.version == 2));
 
         wave.release_all(&mut vol).unwrap();
         let mut loaded = loaded;

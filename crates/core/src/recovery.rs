@@ -13,10 +13,12 @@
 //!   files present are phase-1 residue of a crashed commit. They are
 //!   deleted, rolling back to the empty pre-commit state.
 //! * **Corrupt manifest** — the commit pointer itself cannot be
-//!   trusted. The manifest is quarantined (renamed `MANIFEST.quar`)
-//!   and *nothing* is garbage-collected: the constituent files are
-//!   the only remaining evidence and a later forensic pass (or an
-//!   operator) may still reconstruct from them.
+//!   trusted: it fails its checksum or does not parse, which includes
+//!   naming a version other than `wave-manifest 2`. The manifest is
+//!   quarantined (renamed `MANIFEST.quar`) and *nothing* is
+//!   garbage-collected: the constituent files are the only remaining
+//!   evidence and a later forensic pass (or an operator) may still
+//!   reconstruct from them.
 //! * **Valid manifest, damaged constituents** — each missing or
 //!   corrupt constituent is quarantined and, when the day archive
 //!   still holds its days, rebuilt from first principles
@@ -53,7 +55,7 @@ use crate::error::IndexResult;
 use crate::index::{ConstituentIndex, IndexConfig};
 use crate::persist::{
     index_to_bytes, load_filter_sidecar, FileRef, LoadedWave, Manifest, ManifestEntry,
-    SlotProvenance, MANIFEST_NAME, QUARANTINE_SUFFIX,
+    MANIFEST_NAME, QUARANTINE_SUFFIX,
 };
 use crate::record::{DayArchive, DayBatch};
 use crate::wave::WaveIndex;
@@ -148,30 +150,23 @@ pub fn fsck(store: &mut dyn IndexStore, obs: &Obs) -> IndexResult<FsckReport> {
     if let Some(m) = &manifest {
         // One CRC pass per file: `verify` proves the length, the
         // file's own trailer and the manifest's checksum together.
-        let mut check = |file: &str,
-                         len: u64,
-                         crc: u64,
-                         [ok, corrupt, missing]: [&mut Vec<String>; 3]|
-         -> IndexResult<()> {
-            scanned.inc();
-            match store.get(file)? {
-                None => missing.push(file.to_string()),
-                Some(bytes) if m.verify(file, len, crc, &bytes).is_ok() => {
-                    ok.push(file.to_string())
+        let mut check =
+            |r: &FileRef, [ok, corrupt, missing]: [&mut Vec<String>; 3]| -> IndexResult<()> {
+                scanned.inc();
+                match store.get(&r.file)? {
+                    None => missing.push(r.file.clone()),
+                    Some(bytes) if r.verify(&bytes).is_ok() => ok.push(r.file.clone()),
+                    Some(_) => {
+                        failures.inc();
+                        corrupt.push(r.file.clone());
+                    }
                 }
-                Some(_) => {
-                    failures.inc();
-                    corrupt.push(file.to_string());
-                }
-            }
-            Ok(())
-        };
+                Ok(())
+            };
         for e in &m.entries {
             let r = &mut report;
             check(
-                &e.file,
-                e.len,
-                e.crc64,
+                &e.image(),
                 [&mut r.ok_files, &mut r.corrupt, &mut r.missing],
             )?;
             if let Some(f) = &e.filter {
@@ -180,7 +175,7 @@ pub fn fsck(store: &mut dyn IndexStore, obs: &Obs) -> IndexResult<FsckReport> {
                     &mut r.filter_corrupt,
                     &mut r.filter_missing,
                 ];
-                check(&f.file, f.len, f.crc64, lists)?;
+                check(f, lists)?;
             }
             if let Some(l) = &e.ingest {
                 let lists = [
@@ -188,7 +183,7 @@ pub fn fsck(store: &mut dyn IndexStore, obs: &Obs) -> IndexResult<FsckReport> {
                     &mut r.ingest_corrupt,
                     &mut r.ingest_missing,
                 ];
-                check(&l.file, l.len, l.crc64, lists)?;
+                check(l, lists)?;
             }
         }
         referenced = m.entries.iter().flat_map(ManifestEntry::files).collect();
@@ -327,7 +322,6 @@ fn recover_inner(
     // Validate each constituent; quarantine + rebuild (or drop) the
     // damaged ones.
     let mut wave = WaveIndex::with_slots(manifest.slots);
-    let mut provenance = Vec::new();
     let mut kept = Vec::new();
     let mut manifest_dirty = false;
     let mut result: IndexResult<()> = Ok(());
@@ -345,9 +339,9 @@ fn recover_inner(
             }
             Ok(None) => "missing".into(),
             // Length, checksum (one CRC pass), decode, label.
-            Ok(Some(bytes)) => match manifest.decode_image(cfg, vol, &entry, &bytes) {
+            Ok(Some(bytes)) => match entry.decode_image(cfg, vol, &bytes) {
                 Err(e) => e.to_string(),
-                Ok((mut idx, info)) => {
+                Ok(mut idx) => {
                     // Replay the ingest log before anything
                     // else (mirroring the strict loader). A
                     // damaged log is the opposite of a filter
@@ -358,7 +352,7 @@ fn recover_inner(
                     // rebuild-or-drop path below.
                     let mut torn_log = None;
                     if let Some(iref) = &entry.ingest {
-                        match crate::persist::load_ingest_log(store, &manifest, iref) {
+                        match crate::persist::load_ingest_log(store, iref) {
                             Ok((deletes, pending, adds)) => {
                                 idx.replay_ingest(vol, &deletes, &pending, adds);
                                 obs.counter("ingest.log_replays").inc();
@@ -390,7 +384,7 @@ fn recover_inner(
                         // sidecar may not be. Repair is cheap and
                         // lossless (the filter is derived data),
                         // so it never quarantines or drops.
-                        match repair_sidecar(cfg, store, &manifest, &mut entry, &mut idx) {
+                        match repair_sidecar(cfg, store, &mut entry, &mut idx) {
                             Ok(SidecarFix::Intact) => {}
                             Ok(SidecarFix::Rebuilt(name)) => {
                                 manifest_dirty = true;
@@ -411,13 +405,7 @@ fn recover_inner(
                                 break;
                             }
                         }
-                        provenance.push(SlotProvenance {
-                            slot: entry.slot,
-                            label: entry.label.clone(),
-                            version: info.version,
-                            verified: info.verified,
-                        });
-                        manifest.mark_durable(&entry, &idx);
+                        entry.mark_durable(&idx);
                         wave.install(entry.slot, idx);
                         kept.push(entry);
                         continue;
@@ -457,7 +445,7 @@ fn recover_inner(
                         ConstituentIndex::build_packed(entry.label.clone(), cfg, vol, &batches)?;
                     let image = index_to_bytes(&idx, vol)?;
                     store.put(&entry.file, &image)?;
-                    let image = FileRef::of(manifest.version, entry.file.clone(), &image)?;
+                    let image = FileRef::of(entry.file.clone(), &image)?;
                     (entry.len, entry.crc64) = (image.len, image.crc64);
                     // The rebuilt constituent gets a rebuilt sidecar:
                     // the old one (if any) described the old image.
@@ -466,7 +454,7 @@ fn recover_inner(
                             let sidecar = f.to_bytes();
                             let name = format!("{}.filt", entry.file);
                             store.put(&name, &sidecar)?;
-                            Some(FileRef::of(manifest.version, name, &sidecar)?)
+                            Some(FileRef::of(name, &sidecar)?)
                         }
                         None => None,
                     };
@@ -487,13 +475,7 @@ fn recover_inner(
                             ],
                         );
                         report.rebuilt.push(entry.file.clone());
-                        provenance.push(SlotProvenance {
-                            slot: entry.slot,
-                            label: entry.label.clone(),
-                            version: crate::persist::VERSION,
-                            verified: true,
-                        });
-                        manifest.mark_durable(&entry, &idx);
+                        entry.mark_durable(&idx);
                         wave.install(entry.slot, idx);
                         kept.push(entry);
                     }
@@ -559,14 +541,7 @@ fn recover_inner(
             ("orphans_removed", report.orphans_removed as u64)
         ],
     );
-    Ok((
-        Some(LoadedWave {
-            wave,
-            manifest,
-            provenance,
-        }),
-        report,
-    ))
+    Ok((Some(LoadedWave { wave, manifest }), report))
 }
 
 /// What [`repair_sidecar`] did to a healthy constituent's sidecar.
@@ -588,14 +563,13 @@ enum SidecarFix {
 fn repair_sidecar(
     cfg: IndexConfig,
     store: &mut dyn IndexStore,
-    manifest: &Manifest,
     entry: &mut ManifestEntry,
     idx: &mut ConstituentIndex,
 ) -> IndexResult<SidecarFix> {
     let Some(fref) = entry.filter.clone() else {
         return Ok(SidecarFix::Intact);
     };
-    if let Ok(f) = load_filter_sidecar(store, manifest, &fref) {
+    if let Ok(f) = load_filter_sidecar(store, &fref) {
         if cfg.filter.enabled {
             idx.install_filter(f);
         }
@@ -605,7 +579,7 @@ fn repair_sidecar(
         Some(f) => {
             let sidecar = f.to_bytes();
             store.put(&fref.file, &sidecar)?;
-            entry.filter = Some(FileRef::of(manifest.version, fref.file.clone(), &sidecar)?);
+            entry.filter = Some(FileRef::of(fref.file.clone(), &sidecar)?);
             Ok(SidecarFix::Rebuilt(fref.file))
         }
         None => {

@@ -1,10 +1,10 @@
-//! Model-based randomised tests: both directory structures against
+//! Model-based randomised tests: the directory's B+Tree against
 //! `std::collections::BTreeMap` under seeded-random operation
 //! sequences.
 
 use std::collections::BTreeMap;
 
-use wave_index::directory::{BPlusTree, HashTable};
+use wave_index::directory::BPlusTree;
 use wave_obs::SplitMix64;
 
 #[derive(Debug, Clone, Copy)]
@@ -54,34 +54,6 @@ fn bptree_matches_btreemap() {
     }
 }
 
-/// The hash table mirrors BTreeMap as a map (order aside), and its
-/// sorted iteration matches exactly.
-#[test]
-fn hash_table_matches_btreemap() {
-    let mut rng = SplitMix64::new(0xD1E0_0002);
-    for round in 0..64 {
-        let mut table = HashTable::new();
-        let mut model: BTreeMap<u16, u32> = BTreeMap::new();
-        let ops = rng.range_usize(1, 400);
-        for _ in 0..ops {
-            match random_op(&mut rng) {
-                DirOp::Insert(k, v) => {
-                    assert_eq!(table.insert(k, v), model.insert(k, v), "round {round}");
-                }
-                DirOp::Remove(k) => {
-                    assert_eq!(table.remove(&k), model.remove(&k), "round {round}");
-                }
-                DirOp::Get(k) => {
-                    assert_eq!(table.get(&k), model.get(&k), "round {round}");
-                }
-            }
-        }
-        let got: Vec<(u16, u32)> = table.iter_sorted().map(|(k, v)| (*k, *v)).collect();
-        let want: Vec<(u16, u32)> = model.iter().map(|(k, v)| (*k, *v)).collect();
-        assert_eq!(got, want);
-    }
-}
-
 /// Range queries over the B+Tree agree with BTreeMap's.
 #[test]
 fn bptree_range_matches() {
@@ -102,28 +74,20 @@ fn bptree_range_matches() {
     }
 }
 
-/// `get_with_depth` agrees with `get` and reports sane depths: the
-/// B+Tree's depth equals its height for every present key, and the
-/// hash table's depth is bounded by the chain it scanned.
+/// `get_with_depth` agrees with `get`, and the B+Tree's depth equals
+/// its height for every key, present or not.
 #[test]
 fn probe_depths_are_consistent() {
     let mut rng = SplitMix64::new(0xD1E0_0004);
     let mut tree = BPlusTree::with_order(6);
-    let mut table = HashTable::new();
     for _ in 0..500 {
         let k = (rng.next_u64() % 1024) as u16;
         tree.insert(k, k as u32);
-        table.insert(k, k as u32);
     }
     let height = tree.height();
     for k in 0u16..1024 {
         let (tv, td) = tree.get_with_depth(&k);
         assert_eq!(tv, tree.get(&k));
         assert_eq!(td, height, "B+Tree probes always descend to a leaf");
-        let (hv, hd) = table.get_with_depth(&k);
-        assert_eq!(hv, table.get(&k));
-        if hv.is_some() {
-            assert!(hd >= 1, "a hit compares at least one entry");
-        }
     }
 }

@@ -12,11 +12,9 @@
 //! `load_committed` and `fsck` instead of loading.
 
 use std::collections::{BTreeMap, BTreeSet};
-use std::path::{Path, PathBuf};
 
 use wave_index::persist::{
     commit_wave, load_committed, read_manifest, LoadedWave, Manifest, MANIFEST_NAME,
-    MANIFEST_VERSION, MANIFEST_VERSION_V1,
 };
 use wave_index::prelude::*;
 use wave_index::recovery::{fsck, recover};
@@ -523,7 +521,6 @@ fn swapped_or_stale_files_fail_the_manifest_checksum() {
 fn manifest_checksums_identify_content() {
     let mut l = lookalikes(IndexConfig::default());
     let manifest = read_manifest(&mut l.store).unwrap().unwrap();
-    assert_eq!(manifest.version, MANIFEST_VERSION);
     let mut by_checksum = std::collections::BTreeMap::new();
     for e in &manifest.entries {
         let refs = [Some(e.image()), e.filter.clone(), e.ingest.clone()];
@@ -541,74 +538,4 @@ fn manifest_checksums_identify_content() {
         }
     }
     assert!(by_checksum.len() >= 4, "two images and two filters");
-}
-
-fn v1_fixture_dir() -> PathBuf {
-    Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures/store_manifest_v1")
-}
-
-/// A store the previous release wrote (`wave-manifest 1`: per-file
-/// checksums are whole-file CRCs, i.e. the residue constant) still
-/// loads and fscks clean, lends no file to the first commit over it,
-/// and is a `wave-manifest 2` store afterwards.
-#[test]
-fn v1_manifest_store_loads_fscks_and_is_fully_rewritten() {
-    // The fixture is `wavectl init --scheme del --window 4 --fan 2
-    // --buffered --spill-entries 1000 --spill-days 100` plus six
-    // `wavectl add`s at the parent commit: slot 0 carries a `.ing`.
-    let cfg = IndexConfig {
-        ingest: IngestConfig {
-            enabled: true,
-            max_entries: 1000,
-            max_days: 100,
-        },
-        ..Default::default()
-    };
-    let mut store = MemStore::default();
-    for entry in std::fs::read_dir(v1_fixture_dir()).unwrap() {
-        let entry = entry.unwrap();
-        let bytes = std::fs::read(entry.path()).unwrap();
-        store
-            .put(entry.file_name().to_str().unwrap(), &bytes)
-            .unwrap();
-    }
-    let report = fsck(&mut store, &Obs::noop()).unwrap();
-    assert!(report.is_clean(), "{report:?}");
-    let mut vol = Volume::default();
-    let mut loaded = load_committed(cfg, &mut vol, &mut store).unwrap().unwrap();
-    assert_eq!(loaded.manifest.version, MANIFEST_VERSION_V1);
-    assert!(!loaded.manifest.entries.is_empty());
-    assert!(loaded.manifest.entries.iter().any(|e| e.ingest.is_some()));
-    for e in &loaded.manifest.entries {
-        for r in [Some(e.image()), e.filter.clone(), e.ingest.clone()] {
-            let Some(r) = r else { continue };
-            assert_eq!(
-                r.crc64, CRC_RESIDUE,
-                "{}: a v1 checksum is the residue",
-                r.file
-            );
-        }
-    }
-    let entries = loaded.wave.entry_count();
-    assert!(entries > 0);
-
-    let commit = commit_wave(&loaded.wave, &mut vol, &mut store, &retry()).unwrap();
-    assert_eq!(
-        commit.files_reused, 0,
-        "v1 checksums must never be reused from"
-    );
-    assert_eq!(commit.files_written, loaded.manifest.entries.len());
-    loaded.wave.release_all(&mut vol).unwrap();
-
-    let mut reloaded = load_committed(cfg, &mut vol, &mut store).unwrap().unwrap();
-    assert_eq!(reloaded.manifest.version, MANIFEST_VERSION);
-    assert_eq!(reloaded.manifest.epoch, loaded.manifest.epoch + 1);
-    assert_eq!(reloaded.wave.entry_count(), entries);
-    // Now that checksums mean something, an unchanged wave is carried.
-    let again = commit_wave(&reloaded.wave, &mut vol, &mut store, &retry()).unwrap();
-    assert_eq!(again.files_written, 0);
-    reloaded.wave.release_all(&mut vol).unwrap();
-    assert_eq!(vol.live_blocks(), 0);
-    let report = fsck(&mut store, &Obs::noop()).unwrap();
-    assert!(report.is_clean(), "{report:?}");
 }

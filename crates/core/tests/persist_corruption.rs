@@ -1,22 +1,22 @@
 //! Randomized corruption sweep over persisted images and manifests,
-//! plus the committed v1 fixture.
+//! plus the refusal of every version but the current one.
 //!
 //! Every mutation a disk can plausibly inflict — truncation at any
 //! length, a bit flip at any offset — must surface as a typed
 //! [`IndexError`], never a panic and never a silently wrong index.
 //! The sweep is seeded ([`SplitMix64`]) so failures replay exactly.
 
-use std::path::PathBuf;
-
 use wave_index::persist::{
-    decode_index, index_to_bytes, FilterRef, IngestRef, Manifest, ManifestEntry, MANIFEST_VERSION,
+    commit_wave, index_from_bytes, index_to_bytes, load_committed, FilterRef, IngestRef, Manifest,
+    ManifestEntry, MANIFEST_NAME,
 };
 use wave_index::prelude::*;
+use wave_index::recovery::{fsck, recover};
 use wave_index::IndexError;
 use wave_obs::SplitMix64;
+use wave_storage::{crc64, FileStore, IndexStore, Obs, RetryPolicy};
 
-/// The deterministic sample behind both the sweep and the v1 fixture.
-/// Do not change it: the committed fixture bytes encode exactly this.
+/// The deterministic sample behind every sweep.
 fn fixture_index(vol: &mut Volume) -> ConstituentIndexHandle {
     let b1 = DayBatch::new(
         Day(1),
@@ -33,7 +33,7 @@ fn fixture_index(vol: &mut Volume) -> ConstituentIndexHandle {
         vec![Record::with_values(RecordId(3), [SearchValue::from("tea")])],
     );
     let idx = wave_index::ConstituentIndex::build_packed(
-        "V1FIX",
+        "FIXED",
         IndexConfig::default(),
         vol,
         &[&b1, &b2],
@@ -54,62 +54,6 @@ impl ConstituentIndexHandle {
     }
 }
 
-fn fixture_path() -> PathBuf {
-    PathBuf::from(env!("CARGO_MANIFEST_DIR"))
-        .join("tests")
-        .join("fixtures")
-        .join("wvix_v1.bin")
-}
-
-/// Converts a current (v2) image into the checksum-less v1 layout:
-/// same body, version field 1, no trailer.
-fn v2_to_v1(image: &[u8]) -> Vec<u8> {
-    let mut v1 = image[..image.len() - 8].to_vec();
-    v1[4..6].copy_from_slice(&1u16.to_le_bytes());
-    v1
-}
-
-/// Regenerates the committed fixture. Run explicitly when the sample
-/// or the body format changes:
-/// `cargo test -p wave-index --test persist_corruption -- --ignored`
-#[test]
-#[ignore = "writes the committed fixture; run manually on format changes"]
-fn regenerate_v1_fixture() {
-    let mut vol = Volume::default();
-    let idx = fixture_index(&mut vol);
-    let image = index_to_bytes(idx.get(), &mut vol).unwrap();
-    let path = fixture_path();
-    std::fs::create_dir_all(path.parent().unwrap()).unwrap();
-    std::fs::write(&path, v2_to_v1(&image)).unwrap();
-    idx.release(&mut vol);
-}
-
-/// The committed v1 fixture (written by a pre-checksum build of the
-/// format) still loads under the v2 reader — with `verified: false`
-/// provenance, because nothing vouches for its bytes.
-#[test]
-fn committed_v1_fixture_loads_unverified() {
-    let bytes = std::fs::read(fixture_path())
-        .expect("fixture missing: run the ignored regenerate_v1_fixture test");
-    let mut vol = Volume::default();
-    let (loaded, info) = decode_index(IndexConfig::default(), &mut vol, &bytes).unwrap();
-    assert_eq!(info.version, 1);
-    assert!(!info.verified, "v1 images carry no checksum to verify");
-    assert_eq!(loaded.label(), "V1FIX");
-    assert_eq!(loaded.entry_count(), 4);
-
-    // Contents equal a freshly built copy of the same sample.
-    let fresh = fixture_index(&mut vol);
-    let mut a = loaded.scan(&mut vol).unwrap();
-    let mut b = fresh.get().scan(&mut vol).unwrap();
-    a.sort_unstable();
-    b.sort_unstable();
-    assert_eq!(a, b);
-    loaded.release(&mut vol).unwrap();
-    fresh.release(&mut vol);
-    assert_eq!(vol.live_blocks(), 0);
-}
-
 /// Truncating a v2 image at every plausible length yields a typed
 /// error — short reads can never produce a half-index.
 #[test]
@@ -123,7 +67,7 @@ fn truncation_sweep_yields_typed_errors() {
         .collect();
     lengths.extend([0, 1, 5, 6, 13, image.len() - 1]);
     for len in lengths {
-        match decode_index(IndexConfig::default(), &mut vol, &image[..len]) {
+        match index_from_bytes(IndexConfig::default(), &mut vol, &image[..len]) {
             Err(IndexError::Corrupt(_)) | Err(IndexError::ChecksumMismatch { .. }) => {}
             Err(other) => panic!("truncation to {len}: unexpected error class {other}"),
             Ok(_) => panic!("truncation to {len} accepted"),
@@ -146,7 +90,7 @@ fn bit_flip_sweep_yields_typed_errors() {
         let bit = 1u8 << (rng.next_u64() % 8);
         let mut bad = image.clone();
         bad[pos] ^= bit;
-        match decode_index(IndexConfig::default(), &mut vol, &bad) {
+        match index_from_bytes(IndexConfig::default(), &mut vol, &bad) {
             Err(IndexError::Corrupt(_)) | Err(IndexError::ChecksumMismatch { .. }) => {}
             Err(other) => panic!("flip at {pos}: unexpected error class {other}"),
             Ok(_) => panic!("flip at byte {pos} bit {bit:#04x} accepted silently"),
@@ -161,7 +105,6 @@ fn bit_flip_sweep_yields_typed_errors() {
 #[test]
 fn manifest_corruption_sweep() {
     let manifest = Manifest {
-        version: MANIFEST_VERSION,
         epoch: 42,
         window: Some((Day(17), Day(23))),
         slots: 3,
@@ -221,15 +164,73 @@ fn manifest_corruption_sweep() {
     }
 }
 
-/// Unknown future versions are refused outright rather than
-/// misparsed.
+/// Every image version but the current one is refused outright
+/// rather than misparsed: the retired checksum-less version 1 as much
+/// as an unknown future one.
 #[test]
 fn future_versions_are_refused() {
     let mut vol = Volume::default();
     let idx = fixture_index(&mut vol);
-    let mut image = index_to_bytes(idx.get(), &mut vol).unwrap();
-    image[4..6].copy_from_slice(&7u16.to_le_bytes());
-    let err = decode_index(IndexConfig::default(), &mut vol, &image).unwrap_err();
-    assert!(err.to_string().contains("version"), "{err}");
+    let image = index_to_bytes(idx.get(), &mut vol).unwrap();
+    for version in [1u16, 7] {
+        let mut image = image.clone();
+        image[4..6].copy_from_slice(&version.to_le_bytes());
+        let err = index_from_bytes(IndexConfig::default(), &mut vol, &image).unwrap_err();
+        assert!(
+            matches!(&err, IndexError::Corrupt(msg) if msg.contains(&format!("version {version}"))),
+            "{err}"
+        );
+    }
     idx.release(&mut vol);
+    assert_eq!(vol.live_blocks(), 0);
+}
+
+/// A `wave-manifest 1` store (whole-file checksums, retired) is refused
+/// even when its own `crc` line is valid: the parser names the
+/// version, the strict loader fails, `fsck` reports the manifest not
+/// ok, and neither `fsck` nor `recover` deletes a file.
+#[test]
+fn version_1_manifest_is_refused_and_every_file_kept() {
+    let mut vol = Volume::default();
+    let mut wave = WaveIndex::with_slots(2);
+    wave.install(0, fixture_index(&mut vol).0.take().unwrap());
+    let mut store = FileStore::open_temp().unwrap();
+    commit_wave(&wave, &mut vol, &mut store, &RetryPolicy::no_backoff(1)).unwrap();
+    wave.release_all(&mut vol).unwrap();
+
+    // Same body under a version-1 header, re-sealed with a valid crc.
+    let current = store.get(MANIFEST_NAME).unwrap().unwrap();
+    let text = std::str::from_utf8(&current[..current.len() - 21]).unwrap();
+    let body = text.replacen("wave-manifest 2\n", "wave-manifest 1\n", 1);
+    assert_ne!(body, text);
+    let mut v1 = body.into_bytes();
+    let crc = crc64(&v1);
+    v1.extend_from_slice(format!("crc {crc:016x}\n").as_bytes());
+    store.put(MANIFEST_NAME, &v1).unwrap();
+
+    let err = Manifest::from_bytes(&v1).unwrap_err();
+    assert!(
+        matches!(&err, IndexError::Corrupt(msg) if msg.contains("version 1")),
+        "{err}"
+    );
+    assert!(load_committed(IndexConfig::default(), &mut vol, &mut store).is_err());
+    let files = store.list().unwrap();
+    assert_eq!(files, [MANIFEST_NAME, "slot0.e1", "slot0.e1.filt"]);
+
+    let report = fsck(&mut store, &Obs::noop()).unwrap();
+    assert!(report.manifest_present);
+    assert!(!report.manifest_ok, "{report:?}");
+    assert_eq!(store.list().unwrap(), files, "fsck changes nothing");
+
+    let (loaded, report) = recover(IndexConfig::default(), &mut vol, &mut store, None).unwrap();
+    assert!(loaded.is_none());
+    assert!(report.manifest_quarantined);
+    assert_eq!(report.orphans_removed, 0);
+    assert_eq!(
+        store.list().unwrap(),
+        ["MANIFEST.quar", "slot0.e1", "slot0.e1.filt"],
+        "recover quarantines the manifest and deletes nothing"
+    );
+    assert_eq!(vol.live_blocks(), 0);
+    store.destroy().unwrap();
 }

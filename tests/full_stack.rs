@@ -74,10 +74,6 @@ fn wave_persists_through_file_store() {
         .unwrap()
         .expect("committed wave present");
     assert_eq!(loaded.manifest.epoch, 1);
-    assert!(
-        loaded.provenance.iter().all(|p| p.verified),
-        "every slot must load through a verified checksum"
-    );
 
     for rank in [1usize, 5, 40] {
         let value = ArticleGenerator::word(rank);
